@@ -17,13 +17,14 @@
 
 use dba_common::{ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_engine::plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
-use dba_engine::{CostModel, ExecutionBackend, JoinPred, OpKind, OpSample, Predicate, Query};
+use dba_engine::{
+    Clocked, CostModel, ExecutionBackend, Executor, JoinPred, OpKind, OpSample, Predicate, Query,
+};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
 };
 
 use crate::clock::ClockSource;
-use crate::measured::MeasuredBackend;
 
 /// Constants being fitted, in feature order.
 const FITTED: [&str; 6] = [
@@ -233,8 +234,8 @@ fn solve6(mut a: [[f64; 6]; 6], mut b: [f64; 6]) -> [f64; 6] {
     x
 }
 
-/// Run the seeded microbench workload through a fresh [`MeasuredBackend`]
-/// and return its operator samples.
+/// Run the seeded microbench workload through a fresh measured executor
+/// (clocked on `clock`) and return its operator samples.
 ///
 /// Three tables with deliberately different row widths (padding decorrelates
 /// pages from rows), covering indexes throughout (no random-heap term — see
@@ -295,7 +296,7 @@ pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Ve
         .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
         .unwrap();
 
-    let mut backend = MeasuredBackend::with_clock(cost.clone(), clock);
+    let mut backend = Executor::measured(cost.clone(), clock);
     let col = ColumnId::new;
     let mut qid = 0u64;
     let mut run = |tables: Vec<TableId>,
@@ -304,7 +305,7 @@ pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Ve
                    payload: Vec<ColumnId>,
                    aggregated: bool,
                    plan: Plan,
-                   backend: &mut MeasuredBackend| {
+                   backend: &mut Executor<Clocked>| {
         let q = Query {
             id: QueryId(qid),
             template: TemplateId(0),

@@ -1,14 +1,13 @@
 //! The injectable clock seam.
 //!
-//! The measured backend never reads the OS clock directly: every timing
+//! The clocked executor never reads the OS clock directly: every timing
 //! observation flows through a [`ClockSource`] chosen at construction, the
 //! same discipline `BudgetTimer` uses in `dba-common`. Production code
 //! injects [`wall_clock`] (the one sanctioned `Instant::now` in this
 //! crate — see the D02 policy notes in `dba-analysis`); tests inject
 //! [`scripted`] so measured executions are bit-for-bit deterministic.
 
-/// A monotonic seconds source. Returned values only ever increase.
-pub type ClockSource = Box<dyn Fn() -> f64 + Send>;
+pub use dba_engine::ClockSource;
 
 /// Real wall-clock: seconds elapsed since the source was created.
 ///
@@ -25,7 +24,7 @@ pub fn wall_clock() -> ClockSource {
 /// Deterministic fake clock: each read advances time by `step_s` seconds.
 ///
 /// Counter state lives inside the closure, so two scripted sources never
-/// interfere — measured executions driven by one are bit-identical across
+/// interfere — clocked executions driven by one are bit-identical across
 /// runs, thread counts and machines.
 pub fn scripted(step_s: f64) -> ClockSource {
     let ticks = std::cell::Cell::new(0u64);

@@ -1,77 +1,26 @@
-//! Measured execution backend for the `dba-bandits` reproduction.
+//! Clocked execution backends and cost-model calibration for the
+//! `dba-bandits` reproduction.
 //!
-//! `dba-engine` defines the [`ExecutionBackend`] seam and its `Simulated`
-//! implementation (the cost-model-priced `Executor`). This crate supplies
-//! the physical side:
+//! `dba-engine` holds the one operator pipeline every backend runs
+//! (`dba_engine::exec`) and its *Priced* attribution, the `Simulated`
+//! backend, where the `CostModel` prices each operator. This crate supplies
+//! what the *Clocked* attribution needs from outside the engine:
 //!
-//! - [`btree`] — a real B+Tree bulk-loaded from `dba-storage` index
-//!   definitions, probe-compatible with the sorted-permutation oracle;
-//! - [`measured`] — the `Measured` backend: vectorized batch heap scans,
-//!   B+Tree seeks, hash / index-nested-loop joins over the columnar codes,
-//!   timed through an injectable [`clock::ClockSource`];
-//! - [`dual`] — a lock-step backend running both implementations and
-//!   asserting logical parity on every query;
-//! - [`calibrate`] — least-squares fitting of `CostModel` constants
-//!   against measured wall-clock on a seeded microbench workload.
+//! - [`clock`] — the injectable [`ClockSource`]s: the real [`wall_clock`]
+//!   and the deterministic [`scripted`] one;
+//! - [`measured`](mod@measured) — the factories for the clocked backends: `measured`
+//!   reports each operator's clocked seconds, `dual` reports the priced
+//!   seconds and keeps the clocked per-operator samples alongside;
+//! - [`calibrate`](mod@calibrate) — least-squares fitting of `CostModel` constants
+//!   against clocked seconds on a seeded microbench workload.
 //!
-//! Construct backends through the factory functions below (or
-//! `SessionBuilder::backend`); `Executor::new` stays an engine-internal
-//! detail.
+//! Construct backends through these factories (or
+//! `SessionBuilder::backend`).
 
-pub mod btree;
 pub mod calibrate;
 pub mod clock;
-pub mod dual;
 pub mod measured;
 
-pub use btree::{BTree, Probe, BRANCH_FANOUT};
 pub use calibrate::{calibrate, fit, microbench_samples, CalibrationReport, OpReport};
 pub use clock::{scripted, wall_clock, ClockSource};
-pub use dual::DualBackend;
-pub use measured::{MeasuredBackend, BATCH_ROWS};
-
-use dba_engine::{CostModel, ExecutionBackend};
-
-/// The `Measured` backend on the real wall-clock.
-pub fn measured(cost: CostModel) -> Box<dyn ExecutionBackend> {
-    Box::new(MeasuredBackend::new(cost))
-}
-
-/// The `Measured` backend on an injected clock (tests, determinism).
-pub fn measured_with_clock(cost: CostModel, clock: ClockSource) -> Box<dyn ExecutionBackend> {
-    Box::new(MeasuredBackend::with_clock(cost, clock))
-}
-
-/// The lock-step parity backend (simulated trajectory, measured shadow).
-pub fn dual(cost: CostModel) -> Box<dyn ExecutionBackend> {
-    Box::new(DualBackend::new(cost))
-}
-
-/// The lock-step parity backend on an injected clock.
-pub fn dual_with_clock(cost: CostModel, clock: ClockSource) -> Box<dyn ExecutionBackend> {
-    Box::new(DualBackend::with_clock(cost, clock))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dba_engine::BackendKind;
-
-    #[test]
-    fn factories_report_their_kinds() {
-        assert_eq!(
-            measured(CostModel::unit_scale()).kind(),
-            BackendKind::Measured
-        );
-        assert_eq!(
-            measured_with_clock(CostModel::unit_scale(), scripted(1e-6)).kind(),
-            BackendKind::Measured
-        );
-        assert_eq!(dual(CostModel::unit_scale()).kind(), BackendKind::Simulated);
-        assert_eq!(dual(CostModel::unit_scale()).name(), "dual");
-        assert_eq!(
-            dual_with_clock(CostModel::unit_scale(), scripted(1e-6)).name(),
-            "dual"
-        );
-    }
-}
+pub use measured::{dual, dual_with_clock, measured, measured_with_clock};

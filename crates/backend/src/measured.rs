@@ -1,792 +1,58 @@
-//! The `Measured` execution backend: real physical operators, timed by an
-//! injectable clock.
+//! Factories for the clocked execution backends.
 //!
-//! Where the `Simulated` backend (the engine's `Executor`) evaluates
-//! predicates row-at-a-time and *prices* time through the [`CostModel`],
-//! this backend actually does the work — vectorized batch heap scans over
-//! the columnar codes, root-to-leaf [`BTree`] descents for seeks and
-//! index-nested-loop probes, hash joins materialising real row ids — and
-//! reports elapsed seconds from the [`ClockSource`] it was built with.
-//!
-//! **Logical parity is a hard contract**: on identical catalog state the
-//! measured backend produces bit-identical `result_rows`, `indexes_used`
-//! and per-access `rows_out` to the simulated executor (the `DualBackend`
-//! asserts this on every execution). Only the `time` fields differ. Every
-//! operator additionally records an [`OpSample`] pairing its physical work
-//! counters with both the measured seconds and what the cost model would
-//! have charged — the raw material for `calibrate`.
+//! Both run the engine's one operator pipeline with a [`ClockSource`]
+//! timing every operator and recording an `OpSample` (its work counters
+//! beside the clocked and the priced seconds). They differ only in which
+//! time the execution reports.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use dba_engine::{CostModel, ExecutionBackend, Executor};
 
-use dba_common::{IndexId, SimSeconds};
-use dba_engine::plan::{seek_shape, AccessMethod, JoinAlgo, Plan};
-use dba_engine::{
-    AccessStats, BackendKind, CostModel, ExecutionBackend, OpKind, OpSample, Predicate, Query,
-    QueryExecution,
-};
-use dba_storage::{Catalog, Index, Table};
-
-use crate::btree::BTree;
 use crate::clock::{wall_clock, ClockSource};
 
-/// Rows per batch in the vectorized scan loop: one selection-vector refill
-/// per window keeps the working set cache-resident.
-pub const BATCH_ROWS: usize = 4096;
-
-/// One cached physical tree, invalidated when the catalog's index `Arc`
-/// changes identity (index ids are never reused, and index data is
-/// immutable after build, so pointer equality is a sound staleness check).
-struct CachedTree {
-    source: Arc<Index>,
-    tree: BTree,
+/// The `Measured` backend on the real wall-clock.
+pub fn measured(cost: CostModel) -> Box<dyn ExecutionBackend> {
+    measured_with_clock(cost, wall_clock())
 }
 
-/// Physical backend state: cost model (for sampling / index pricing), the
-/// injected clock, the B+Tree cache, and accumulated calibration samples.
-pub struct MeasuredBackend {
-    cost: CostModel,
-    clock: ClockSource,
-    trees: BTreeMap<IndexId, CachedTree>,
-    samples: Vec<OpSample>,
+/// The `Measured` backend on an injected clock (tests, determinism).
+pub fn measured_with_clock(cost: CostModel, clock: ClockSource) -> Box<dyn ExecutionBackend> {
+    Box::new(Executor::measured(cost, clock))
 }
 
-impl MeasuredBackend {
-    /// Production construction: real wall-clock.
-    pub fn new(cost: CostModel) -> Self {
-        MeasuredBackend::with_clock(cost, wall_clock())
-    }
-
-    /// Deterministic construction: any [`ClockSource`], e.g. `scripted`.
-    pub fn with_clock(cost: CostModel, clock: ClockSource) -> Self {
-        MeasuredBackend {
-            cost,
-            clock,
-            trees: BTreeMap::new(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Number of B+Trees currently cached (observability for tests).
-    pub fn cached_trees(&self) -> usize {
-        self.trees.len()
-    }
+/// The dual backend on the real wall-clock: the priced trajectory of the
+/// `Simulated` backend, with clocked operator samples kept for calibration.
+pub fn dual(cost: CostModel) -> Box<dyn ExecutionBackend> {
+    dual_with_clock(cost, wall_clock())
 }
 
-impl ExecutionBackend for MeasuredBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Measured
-    }
-
-    fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
-        let MeasuredBackend {
-            cost,
-            clock,
-            trees,
-            samples,
-        } = self;
-        // Sweep trees whose index was dropped since the last execution.
-        trees.retain(|id, _| catalog.index(*id).is_ok());
-
-        let mut accesses = Vec::with_capacity(1 + plan.joins.len());
-        let mut join_time = SimSeconds::ZERO;
-
-        let driver_table = catalog.table(plan.driver.table);
-        let preds = query.predicates_on(plan.driver.table);
-        let (rows, stats) = run_access(
-            cost,
-            clock,
-            trees,
-            samples,
-            catalog,
-            driver_table,
-            &plan.driver.method,
-            &preds,
-            query,
-        );
-        accesses.push(stats);
-        let mut inter = Intermediate::single(plan.driver.table, rows);
-
-        for step in &plan.joins {
-            let inner_table = catalog.table(step.access.table);
-            let inner_preds = query.predicates_on(step.access.table);
-            let outer_col = step
-                .join
-                .other_side(step.access.table)
-                .expect("join step must connect to the new table");
-            let outer_pos = inter
-                .table_pos(outer_col.table)
-                .expect("left-deep plan: outer table must already be joined");
-            let inner_col = step
-                .join
-                .side_on(step.access.table)
-                .expect("join step must reference the new table");
-
-            match step.algo {
-                JoinAlgo::Hash => {
-                    let (inner_rows, stats) = run_access(
-                        cost,
-                        clock,
-                        trees,
-                        samples,
-                        catalog,
-                        inner_table,
-                        &step.access.method,
-                        &inner_preds,
-                        query,
-                    );
-                    accesses.push(stats);
-
-                    let t0 = clock();
-                    let inner_vals = inner_table.column(inner_col.ordinal).data();
-                    let mut build: std::collections::HashMap<i64, Vec<u32>> =
-                        std::collections::HashMap::with_capacity(inner_rows.len());
-                    for &r in &inner_rows {
-                        build.entry(inner_vals[r as usize]).or_default().push(r);
-                    }
-                    let build_rows = inner_rows.len() as u64;
-                    let probe_rows = inter.len as u64;
-
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        if let Some(matches) = build.get(&ov) {
-                            for &ir in matches {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                            }
-                        }
-                    }
-                    let len = new_cols[0].len();
-                    let elapsed = clock() - t0;
-                    join_time += SimSeconds::new(elapsed);
-                    samples.push(OpSample {
-                        build_rows,
-                        probe_rows,
-                        out_rows: len as u64,
-                        sim_s: cost.hash_join(build_rows, probe_rows, len as u64).secs(),
-                        measured_s: elapsed,
-                        ..OpSample::with_op(OpKind::HashJoin)
-                    });
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = len;
-                }
-                JoinAlgo::IndexNestedLoop => {
-                    let index_id = step
-                        .access
-                        .method
-                        .index_id()
-                        .expect("INL join requires an inner index");
-                    let index = catalog
-                        .index(index_id)
-                        .expect("plan references unmaterialised index");
-                    let covering = matches!(
-                        step.access.method,
-                        AccessMethod::IndexSeek { covering: true, .. }
-                    );
-                    let tree = cached_tree(trees, index, inner_table);
-
-                    let t0 = clock();
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    let mut total_matched = 0u64;
-                    let mut total_out = 0u64;
-                    let mut leaves = 0u64;
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        let probe = tree.probe(&[ov], None);
-                        total_matched += probe.matched() as u64;
-                        leaves += probe.leaves as u64;
-                        for &ir in &tree.rows()[probe.start..probe.end] {
-                            if row_matches(inner_table, ir, &inner_preds) {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                                total_out += 1;
-                            }
-                        }
-                    }
-                    let elapsed = clock() - t0;
-
-                    let heap_fetches = if covering { 0 } else { total_matched };
-                    let sim = cost.inl_probes(
-                        inter.len as u64,
-                        total_matched,
-                        leaf_row_bytes(inner_table, index),
-                        heap_fetches,
-                        catalog.live_heap_pages(step.access.table),
-                    );
-                    samples.push(OpSample {
-                        pages: leaves,
-                        rows: total_matched,
-                        descents: inter.len as u64,
-                        out_rows: total_out,
-                        sim_s: sim.secs(),
-                        measured_s: elapsed,
-                        ..OpSample::with_op(OpKind::InlProbe)
-                    });
-                    accesses.push(AccessStats {
-                        table: step.access.table,
-                        index: Some(index_id),
-                        time: SimSeconds::new(elapsed),
-                        rows_out: total_out,
-                        is_full_scan: false,
-                    });
-                    let len = new_cols[0].len();
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = len;
-                }
-            }
-        }
-
-        let agg_time = if query.aggregated {
-            let t0 = clock();
-            // Physically aggregate: sum every payload column over the
-            // joined row ids (the work `agg_row_s` models).
-            for pc in &query.payload {
-                if let Some(pos) = inter.table_pos(pc.table) {
-                    let col = catalog.table(pc.table).column(pc.ordinal);
-                    let mut acc = 0i64;
-                    for &r in &inter.columns[pos] {
-                        acc = acc.wrapping_add(col.value(r as usize));
-                    }
-                    std::hint::black_box(acc);
-                }
-            }
-            let elapsed = clock() - t0;
-            samples.push(OpSample {
-                rows: inter.len as u64,
-                out_rows: 1,
-                sim_s: cost.aggregate(inter.len as u64).secs(),
-                measured_s: elapsed,
-                ..OpSample::with_op(OpKind::Aggregate)
-            });
-            SimSeconds::new(elapsed)
-        } else {
-            SimSeconds::ZERO
-        };
-
-        let total = accesses.iter().map(|a| a.time).sum::<SimSeconds>() + join_time + agg_time;
-        QueryExecution {
-            query: query.id,
-            total,
-            accesses,
-            join_time,
-            agg_time,
-            result_rows: inter.len as u64,
-        }
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn take_op_samples(&mut self) -> Vec<OpSample> {
-        std::mem::take(&mut self.samples)
-    }
-}
-
-/// Intermediate relation during left-deep join execution (same shape as the
-/// simulated executor's): parallel row-id vectors, one per joined table.
-struct Intermediate {
-    tables: Vec<dba_common::TableId>,
-    columns: Vec<Vec<u32>>,
-    len: usize,
-}
-
-impl Intermediate {
-    fn single(table: dba_common::TableId, rows: Vec<u32>) -> Self {
-        let len = rows.len();
-        Intermediate {
-            tables: vec![table],
-            columns: vec![rows],
-            len,
-        }
-    }
-
-    fn table_pos(&self, table: dba_common::TableId) -> Option<usize> {
-        self.tables.iter().position(|&t| t == table)
-    }
-}
-
-/// Fetch (building on miss / staleness) the cached B+Tree for `index`.
-fn cached_tree<'a>(
-    trees: &'a mut BTreeMap<IndexId, CachedTree>,
-    index: &Arc<Index>,
-    table: &Table,
-) -> &'a BTree {
-    let entry = trees
-        .entry(index.id())
-        .and_modify(|c| {
-            if !Arc::ptr_eq(&c.source, index) {
-                c.tree = BTree::from_index(index, table);
-                c.source = Arc::clone(index);
-            }
-        })
-        .or_insert_with(|| CachedTree {
-            source: Arc::clone(index),
-            tree: BTree::from_index(index, table),
-        });
-    &entry.tree
-}
-
-/// Run one single-table access physically, returning matching row ids (in
-/// the same order the simulated executor produces them) and measured stats.
-#[allow(clippy::too_many_arguments)]
-fn run_access(
-    cost: &CostModel,
-    clock: &ClockSource,
-    trees: &mut BTreeMap<IndexId, CachedTree>,
-    samples: &mut Vec<OpSample>,
-    catalog: &Catalog,
-    table: &Table,
-    method: &AccessMethod,
-    preds: &[Predicate],
-    query: &Query,
-) -> (Vec<u32>, AccessStats) {
-    match method {
-        AccessMethod::FullScan => {
-            let t0 = clock();
-            let rows = batch_filter(table, preds);
-            let elapsed = clock() - t0;
-            samples.push(OpSample {
-                pages: table.heap_pages(),
-                rows: table.rows() as u64,
-                out_rows: rows.len() as u64,
-                sim_s: cost
-                    .scan(
-                        catalog.live_heap_pages(table.id()),
-                        catalog.live_rows(table.id()),
-                    )
-                    .secs(),
-                measured_s: elapsed,
-                ..OpSample::with_op(OpKind::SeqScan)
-            });
-            let stats = AccessStats {
-                table: table.id(),
-                index: None,
-                time: SimSeconds::new(elapsed),
-                rows_out: rows.len() as u64,
-                is_full_scan: true,
-            };
-            (rows, stats)
-        }
-        AccessMethod::IndexSeek { index, covering } => {
-            let ix = catalog
-                .index(*index)
-                .expect("plan references unmaterialised index");
-            let tree = cached_tree(trees, ix, table);
-            let shape = seek_shape(ix.def(), preds);
-
-            let t0 = clock();
-            let probe = tree.probe(&shape.eq_values, shape.range);
-            let matched = probe.matched() as u64;
-            let mut rows = Vec::with_capacity(probe.matched());
-            for &r in &tree.rows()[probe.start..probe.end] {
-                if shape.residual.is_empty() || row_matches(table, r, &shape.residual) {
-                    rows.push(r);
-                }
-            }
-            if !covering {
-                // Physically fetch the needed columns from the heap, the
-                // work the cost model's random heap reads stand for.
-                let needed = query.columns_needed_on(table.id());
-                let mut fetched = Vec::new();
-                for &ord in &needed {
-                    table.column(ord).gather_into(&rows, &mut fetched);
-                    std::hint::black_box(fetched.as_slice());
-                }
-            }
-            let elapsed = clock() - t0;
-
-            let heap_fetches = if *covering { 0 } else { matched };
-            let sim = cost.index_seek(
-                matched,
-                leaf_row_bytes(table, ix),
-                heap_fetches,
-                catalog.live_heap_pages(table.id()),
-            );
-            samples.push(OpSample {
-                pages: probe.leaves as u64,
-                rows: matched,
-                descents: 1,
-                out_rows: rows.len() as u64,
-                sim_s: sim.secs(),
-                measured_s: elapsed,
-                ..OpSample::with_op(OpKind::IndexSeek)
-            });
-            let stats = AccessStats {
-                table: table.id(),
-                index: Some(*index),
-                time: SimSeconds::new(elapsed),
-                rows_out: rows.len() as u64,
-                is_full_scan: false,
-            };
-            (rows, stats)
-        }
-        AccessMethod::CoveringScan { index } => {
-            let ix = catalog
-                .index(*index)
-                .expect("plan references unmaterialised index");
-            let tree = cached_tree(trees, ix, table);
-
-            let t0 = clock();
-            // Scan the leaf level in key order, then restore heap order:
-            // the simulated executor reports rows ascending (its filter
-            // walks the heap), so the merge-back is part of the operator.
-            let mut rows: Vec<u32> = tree
-                .rows()
-                .iter()
-                .copied()
-                .filter(|&r| row_matches(table, r, preds))
-                .collect();
-            rows.sort_unstable();
-            let elapsed = clock() - t0;
-
-            let sim = cost.covering_scan(
-                catalog.index_live_leaf_pages(ix.id()),
-                catalog.live_rows(table.id()),
-            );
-            samples.push(OpSample {
-                pages: tree.leaf_count() as u64,
-                rows: table.rows() as u64,
-                out_rows: rows.len() as u64,
-                sim_s: sim.secs(),
-                measured_s: elapsed,
-                ..OpSample::with_op(OpKind::CoveringScan)
-            });
-            let stats = AccessStats {
-                table: table.id(),
-                index: Some(*index),
-                time: SimSeconds::new(elapsed),
-                rows_out: rows.len() as u64,
-                is_full_scan: false,
-            };
-            (rows, stats)
-        }
-    }
-}
-
-/// Vectorized conjunctive filter: seed an ascending selection vector per
-/// [`BATCH_ROWS`] window from the first predicate, refine it in place with
-/// the rest. Produces exactly the simulated executor's `filter_all` output
-/// (all matching row ids, ascending).
-fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
-    let n = table.rows();
-    if preds.is_empty() {
-        return (0..n as u32).collect();
-    }
-    let first = table.column(preds[0].column.ordinal);
-    let mut out = Vec::new();
-    let mut batch = Vec::with_capacity(BATCH_ROWS);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + BATCH_ROWS).min(n);
-        batch.clear();
-        first.fill_matching_in(preds[0].lo, preds[0].hi, start, end, &mut batch);
-        for p in &preds[1..] {
-            table
-                .column(p.column.ordinal)
-                .retain_matching(p.lo, p.hi, &mut batch);
-        }
-        out.extend_from_slice(&batch);
-        start = end;
-    }
-    out
-}
-
-/// Whether row `r` satisfies all `preds` (residual / join-side filter).
-#[inline]
-fn row_matches(table: &Table, r: u32, preds: &[Predicate]) -> bool {
-    preds
-        .iter()
-        .all(|p| p.matches(table.column(p.column.ordinal).value(r as usize)))
-}
-
-/// Bytes per leaf row of `index` on `table` (keys + includes + locator) —
-/// mirrors the engine's private helper for cost-sample parity.
-fn leaf_row_bytes(table: &Table, index: &Index) -> u64 {
-    table.columns_width(&index.def().key_cols) + table.columns_width(&index.def().include_cols) + 8
+/// The dual backend on an injected clock.
+pub fn dual_with_clock(cost: CostModel, clock: ClockSource) -> Box<dyn ExecutionBackend> {
+    Box::new(Executor::dual(cost, clock))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::scripted;
-    use dba_common::{ColumnId, QueryId, TableId, TemplateId};
-    use dba_engine::plan::{JoinStep, TableAccess};
-    use dba_engine::{Executor, JoinPred};
-    use dba_storage::{ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema};
+    use dba_engine::BackendKind;
 
-    fn catalog() -> Catalog {
-        let dim = TableSchema::new(
-            "dim",
-            vec![
-                ColumnSpec::new("d_key", ColumnType::Int, Distribution::Sequential),
-                ColumnSpec::new(
-                    "d_attr",
-                    ColumnType::Int,
-                    Distribution::Uniform { lo: 0, hi: 9 },
-                ),
-            ],
+    #[test]
+    fn factories_report_their_kinds() {
+        let m = measured(CostModel::paper_scale());
+        assert_eq!(m.kind(), BackendKind::Measured);
+        assert_eq!(m.name(), "measured");
+        assert!(m.measures_wall_clock());
+        assert_eq!(
+            measured_with_clock(CostModel::unit_scale(), scripted(1e-6)).kind(),
+            BackendKind::Measured
         );
-        let fact = TableSchema::new(
-            "fact",
-            vec![
-                ColumnSpec::new("f_key", ColumnType::Int, Distribution::Sequential),
-                ColumnSpec::new(
-                    "f_dim",
-                    ColumnType::Int,
-                    Distribution::FkUniform { parent_rows: 200 },
-                ),
-                ColumnSpec::new(
-                    "f_val",
-                    ColumnType::Int,
-                    Distribution::Uniform { lo: 0, hi: 999 },
-                ),
-            ],
-        );
-        Catalog::new(vec![
-            TableBuilder::new(dim, 200).build(TableId(0), 5),
-            TableBuilder::new(fact, 5000).build(TableId(1), 5),
-        ])
-    }
-
-    fn col(t: u32, o: u16) -> ColumnId {
-        ColumnId::new(TableId(t), o)
-    }
-
-    fn query(preds: Vec<Predicate>) -> Query {
-        Query {
-            id: QueryId(0),
-            template: TemplateId(0),
-            tables: vec![TableId(1)],
-            predicates: preds,
-            joins: vec![],
-            payload: vec![col(1, 0)],
-            aggregated: false,
-        }
-    }
-
-    fn scan_plan(table: TableId) -> Plan {
-        Plan {
-            driver: TableAccess {
-                table,
-                method: AccessMethod::FullScan,
-                est_rows: 0.0,
-            },
-            joins: vec![],
-            aggregated: false,
-            est_cost: SimSeconds::ZERO,
-        }
-    }
-
-    fn assert_logical_parity(m: &QueryExecution, s: &QueryExecution) {
-        assert_eq!(m.result_rows, s.result_rows);
-        assert_eq!(m.indexes_used(), s.indexes_used());
-        assert_eq!(m.accesses.len(), s.accesses.len());
-        for (a, b) in m.accesses.iter().zip(&s.accesses) {
-            assert_eq!(a.table, b.table);
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.rows_out, b.rows_out);
-            assert_eq!(a.is_full_scan, b.is_full_scan);
-        }
-    }
-
-    #[test]
-    fn batch_filter_is_ascending_and_complete() {
-        let cat = catalog();
-        let t = cat.table(TableId(1));
-        let preds = [
-            Predicate::range(col(1, 2), 100, 700),
-            Predicate::range(col(1, 1), 0, 150),
-        ];
-        let got = batch_filter(t, &preds);
-        let want: Vec<u32> = (0..t.rows() as u32)
-            .filter(|&r| {
-                preds
-                    .iter()
-                    .all(|p| p.matches(t.column(p.column.ordinal).value(r as usize)))
-            })
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(batch_filter(t, &[]).len(), t.rows());
-    }
-
-    #[test]
-    fn full_scan_parity_with_simulated() {
-        let cat = catalog();
-        let q = query(vec![Predicate::range(col(1, 2), 0, 99)]);
-        let mut m = MeasuredBackend::with_clock(CostModel::unit_scale(), scripted(1e-6));
-        let sim = Executor::new(CostModel::unit_scale());
-        let plan = scan_plan(TableId(1));
-        let me = ExecutionBackend::execute(&mut m, &cat, &q, &plan);
-        let se = sim.execute(&cat, &q, &plan);
-        assert_logical_parity(&me, &se);
-        assert!(me.total.secs() > 0.0, "scripted clock yields elapsed time");
-        let samples = m.take_op_samples();
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].op(), OpKind::SeqScan);
-        assert!(samples[0].sim_s > 0.0);
-        assert!(m.take_op_samples().is_empty(), "samples drain");
-    }
-
-    #[test]
-    fn seek_covering_scan_and_joins_parity() {
-        let mut cat = catalog();
-        let seek_ix = cat
-            .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
-            .unwrap();
-        let cover_ix = cat
-            .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
-            .unwrap();
-        let fk_ix = cat
-            .create_index(IndexDef::new(TableId(1), vec![1], vec![]))
-            .unwrap();
-        let mut m = MeasuredBackend::with_clock(CostModel::unit_scale(), scripted(1e-6));
-        let sim = Executor::new(CostModel::unit_scale());
-
-        let q = query(vec![Predicate::range(col(1, 2), 10, 300)]);
-        for method in [
-            AccessMethod::IndexSeek {
-                index: seek_ix.id,
-                covering: false,
-            },
-            AccessMethod::IndexSeek {
-                index: cover_ix.id,
-                covering: true,
-            },
-            AccessMethod::CoveringScan { index: cover_ix.id },
+        for d in [
+            dual(CostModel::unit_scale()),
+            dual_with_clock(CostModel::unit_scale(), scripted(1e-6)),
         ] {
-            let plan = Plan {
-                driver: TableAccess {
-                    table: TableId(1),
-                    method,
-                    est_rows: 0.0,
-                },
-                joins: vec![],
-                aggregated: false,
-                est_cost: SimSeconds::ZERO,
-            };
-            let me = ExecutionBackend::execute(&mut m, &cat, &q, &plan);
-            let se = sim.execute(&cat, &q, &plan);
-            assert_logical_parity(&me, &se);
+            assert_eq!(d.kind(), BackendKind::Simulated);
+            assert_eq!(d.name(), "dual");
+            assert!(!d.measures_wall_clock());
         }
-
-        // Hash and INL joins, aggregated.
-        let jq = Query {
-            id: QueryId(0),
-            template: TemplateId(0),
-            tables: vec![TableId(0), TableId(1)],
-            predicates: vec![
-                Predicate::eq(col(0, 1), 3),
-                Predicate::range(col(1, 2), 0, 499),
-            ],
-            joins: vec![JoinPred::new(col(0, 0), col(1, 1))],
-            payload: vec![col(1, 0)],
-            aggregated: true,
-        };
-        for (algo, method) in [
-            (JoinAlgo::Hash, AccessMethod::FullScan),
-            (
-                JoinAlgo::IndexNestedLoop,
-                AccessMethod::IndexSeek {
-                    index: fk_ix.id,
-                    covering: false,
-                },
-            ),
-        ] {
-            let plan = Plan {
-                driver: TableAccess {
-                    table: TableId(0),
-                    method: AccessMethod::FullScan,
-                    est_rows: 0.0,
-                },
-                joins: vec![JoinStep {
-                    access: TableAccess {
-                        table: TableId(1),
-                        method: method.clone(),
-                        est_rows: 0.0,
-                    },
-                    algo,
-                    join: jq.joins[0],
-                    est_rows_out: 0.0,
-                }],
-                aggregated: true,
-                est_cost: SimSeconds::ZERO,
-            };
-            let me = ExecutionBackend::execute(&mut m, &cat, &jq, &plan);
-            let se = sim.execute(&cat, &jq, &plan);
-            assert_logical_parity(&me, &se);
-            assert!(me.agg_time.secs() > 0.0);
-        }
-
-        let ops: Vec<OpKind> = m.take_op_samples().iter().map(|s| s.op()).collect();
-        assert!(ops.contains(&OpKind::IndexSeek));
-        assert!(ops.contains(&OpKind::CoveringScan));
-        assert!(ops.contains(&OpKind::HashJoin));
-        assert!(ops.contains(&OpKind::InlProbe));
-        assert!(ops.contains(&OpKind::Aggregate));
-    }
-
-    #[test]
-    fn tree_cache_rebuilds_on_drop_and_recreate() {
-        let mut cat = catalog();
-        let ix = cat
-            .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
-            .unwrap();
-        let mut m = MeasuredBackend::with_clock(CostModel::unit_scale(), scripted(1e-6));
-        let q = query(vec![Predicate::range(col(1, 2), 10, 30)]);
-        let plan = Plan {
-            driver: TableAccess {
-                table: TableId(1),
-                method: AccessMethod::IndexSeek {
-                    index: ix.id,
-                    covering: false,
-                },
-                est_rows: 0.0,
-            },
-            joins: vec![],
-            aggregated: false,
-            est_cost: SimSeconds::ZERO,
-        };
-        ExecutionBackend::execute(&mut m, &cat, &q, &plan);
-        assert_eq!(m.cached_trees(), 1);
-
-        // Drop the index; the next execution (against a scan plan) sweeps it.
-        cat.drop_index(ix.id).unwrap();
-        ExecutionBackend::execute(&mut m, &cat, &q, &scan_plan(TableId(1)));
-        assert_eq!(m.cached_trees(), 0);
-    }
-
-    #[test]
-    fn scripted_clock_makes_execution_deterministic() {
-        let cat = catalog();
-        let q = query(vec![Predicate::range(col(1, 2), 0, 500)]);
-        let run = || {
-            let mut m = MeasuredBackend::with_clock(CostModel::unit_scale(), scripted(1e-6));
-            let e = ExecutionBackend::execute(&mut m, &cat, &q, &scan_plan(TableId(1)));
-            (e.total.secs().to_bits(), e.result_rows)
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn backend_trait_surface() {
-        let m = MeasuredBackend::new(CostModel::paper_scale());
-        let b: &dyn ExecutionBackend = &m;
-        assert_eq!(b.kind(), BackendKind::Measured);
-        assert_eq!(b.name(), "measured");
-        assert!(b.measures_wall_clock());
-        fn assert_send<T: Send>() {}
-        assert_send::<MeasuredBackend>();
     }
 }

@@ -1,11 +1,10 @@
-//! Criterion benchmarks for the measured backend's hot paths: B+Tree
-//! probes and vectorized batch heap scans. These are the operators the
-//! `Measured` backend times on the wall-clock, so their own overheads
-//! bound how small a workload the calibration fit can resolve.
+//! Criterion benchmarks for the measured backend's hot paths: index seeks
+//! and vectorized batch heap scans. These are the operators the `Measured`
+//! backend times on the wall-clock, so their own overheads bound how small
+//! a workload the calibration fit can resolve.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use dba_backend::BTree;
 use dba_common::{ColumnId, QueryId, TableId, TemplateId};
 use dba_engine::{CostModel, Predicate, Query};
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
@@ -47,30 +46,6 @@ fn range_query(lo: i64, hi: i64) -> Query {
     }
 }
 
-/// B+Tree point and range probes on a 200k-row index.
-fn bench_btree_probe(c: &mut Criterion) {
-    let mut catalog = bench_catalog();
-    let meta = catalog
-        .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
-        .unwrap();
-    let index = catalog.index(meta.id).unwrap().clone();
-    let tree = BTree::from_index(&index, catalog.table(TableId(0)));
-
-    let mut v = 0i64;
-    c.bench_function("btree_probe_point_200k", |b| {
-        b.iter(|| {
-            v = (v + 7919) % 100_000;
-            tree.probe(&[v], None)
-        })
-    });
-    c.bench_function("btree_probe_range_200k", |b| {
-        b.iter(|| {
-            v = (v + 7919) % 99_000;
-            tree.probe(&[], Some((v, v + 1_000)))
-        })
-    });
-}
-
 /// Vectorized batch heap scan through the measured backend, ~1% selective
 /// over 200k rows. `cold` round-robins over independently generated (but
 /// identical) table allocations so each iteration touches memory the CPU
@@ -99,39 +74,45 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
 }
 
-/// Measured index seek end to end, including the one-time B+Tree bulk
-/// build on first touch (`cold`) vs the cached steady state (`warm`).
+/// Measured index seek end to end, ~0.1% selective over 200k rows.
+/// `cold` round-robins over independently built (but identical) catalogs,
+/// each with its own index, so each iteration probes memory the CPU caches
+/// have not just seen; `warm` reseeks one catalog.
 fn bench_measured_seek(c: &mut Criterion) {
-    let mut catalog = bench_catalog();
-    catalog
-        .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
-        .unwrap();
-    let stats = StatsCatalog::build(&catalog);
+    let catalogs: Vec<Catalog> = (0..8)
+        .map(|_| {
+            let mut catalog = bench_catalog();
+            catalog
+                .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
+                .unwrap();
+            catalog
+        })
+        .collect();
+    let stats = StatsCatalog::build(&catalogs[0]);
     let cost = CostModel::unit_scale();
     let q = range_query(40_000, 40_100);
     let seek_plan = {
-        let ctx = PlannerContext::from_catalog(&catalog, &stats, &cost);
+        let ctx = PlannerContext::from_catalog(&catalogs[0], &stats, &cost);
         Planner::new(&ctx).plan(&q)
     };
     assert!(!seek_plan.indexes_used().is_empty(), "must use the index");
+    let mut backend = dba_backend::measured(cost);
 
+    let mut i = 0usize;
     c.bench_function("measured_seek_cold_200k", |b| {
-        b.iter_batched(
-            || dba_backend::measured(CostModel::unit_scale()),
-            |mut backend| backend.execute(&catalog, &q, &seek_plan),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            i = (i + 1) % catalogs.len();
+            backend.execute(&catalogs[i], &q, &seek_plan)
+        })
     });
     c.bench_function("measured_seek_warm_200k", |b| {
-        let mut backend = dba_backend::measured(CostModel::unit_scale());
-        backend.execute(&catalog, &q, &seek_plan); // build + cache the tree
-        b.iter(|| backend.execute(&catalog, &q, &seek_plan))
+        b.iter(|| backend.execute(&catalogs[0], &q, &seek_plan))
     });
 }
 
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_btree_probe, bench_batch_scan, bench_measured_seek
+    targets = bench_batch_scan, bench_measured_seek
 );
 criterion_main!(benches);

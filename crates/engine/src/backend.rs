@@ -1,17 +1,16 @@
 //! The execution seam: [`ExecutionBackend`] abstracts *how* a physical
 //! [`Plan`] is run.
 //!
-//! Two implementations exist. The [`Executor`] in this crate is the
-//! `Simulated` backend: it evaluates predicates and joins over the real
-//! column data but charges time through the [`CostModel`]. The `Measured`
-//! backend (crate `dba-backend`) runs the same plans through real physical
-//! operators — vectorized batch scans, a bulk-loaded B+Tree, hash /
-//! index-nested-loop joins — and reports wall-clock from an injectable
-//! source. Both produce the same [`QueryExecution`] shape, so reward
-//! shaping, the safety ledger, and observability consume either
-//! interchangeably; on identical catalog state they must agree **bit
-//! exactly** on the logical fields (`result_rows`, `indexes_used`,
-//! per-access `rows_out`) and differ only in time.
+//! Every backend in the workspace is the one operator pipeline in
+//! [`crate::exec`]; they differ only in how operator time is attributed.
+//! The `Simulated` backend ([`simulated`], the [`Executor`]) prices each
+//! operator through the [`CostModel`]. The `Measured` backend (constructed
+//! by crate `dba-backend`) times each operator on an injectable clock and
+//! records per-operator [`OpSample`]s. Both produce the same
+//! [`QueryExecution`] shape, so reward shaping, the safety ledger, and
+//! observability consume either interchangeably; on identical catalog state
+//! they agree on the logical fields (`result_rows`, `indexes_used`,
+//! per-access `rows_out`) by construction and differ only in time.
 
 use std::fmt;
 use std::str::FromStr;
@@ -31,7 +30,7 @@ pub enum BackendKind {
     /// Cost-model pricing over real data (the [`Executor`]).
     #[default]
     Simulated,
-    /// Real physical operators timed by an injectable clock.
+    /// The same operators, timed by an injectable clock.
     Measured,
 }
 
@@ -100,20 +99,20 @@ impl OpKind {
 /// One operator execution paired with the work it performed: the raw
 /// material for fitting [`CostModel`] constants against measured time.
 ///
-/// `sim_s` is what the simulated cost model charges for the *same* access
-/// (so divergence is computable per sample without re-running), while the
-/// work counters describe what the measured operator physically did —
-/// under drift these differ by design: the simulated model prices the live
-/// (accounting-grown) heap, the measured operator can only touch
-/// materialised rows.
+/// `sim_s` is what the cost model charges for the *same* access (so
+/// divergence is computable per sample without re-running), while the work
+/// counters describe what the operator physically did — under drift these
+/// differ by design: the cost model prices the live (accounting-grown)
+/// heap, the operator can only touch materialised rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpSample {
     pub op_index: usize,
-    /// Heap or leaf pages physically touched.
+    /// Heap or leaf pages touched (for seeks and index-nested-loop probes:
+    /// the leaf pages the matched entries span in the index's geometry).
     pub pages: u64,
     /// Rows pushed through the operator's CPU loop.
     pub rows: u64,
-    /// B+Tree root-to-leaf descents performed.
+    /// Index root-to-leaf descents performed.
     pub descents: u64,
     /// Hash-build input rows.
     pub build_rows: u64,
@@ -146,9 +145,9 @@ impl OpSample {
 
 /// A strategy for executing physical plans.
 ///
-/// `execute` takes `&mut self` because measured backends maintain state
-/// between calls (cached B+Trees, drained-on-demand calibration samples);
-/// the simulated implementation simply ignores the mutability.
+/// `execute` takes `&mut self` because clocked backends accumulate
+/// calibration samples between calls (drained on demand); the priced
+/// implementation simply ignores the mutability.
 pub trait ExecutionBackend: Send {
     /// Which backend family this is (drives reporting and env selection).
     fn kind(&self) -> BackendKind;
@@ -185,20 +184,6 @@ pub trait ExecutionBackend: Send {
 /// `Executor::new` is an engine-internal detail.
 pub fn simulated(cost: CostModel) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::new(cost))
-}
-
-impl ExecutionBackend for Executor {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
-    }
-
-    fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
-        Executor::execute(self, catalog, query, plan)
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        Executor::cost_model(self)
-    }
 }
 
 #[cfg(test)]

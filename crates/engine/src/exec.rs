@@ -1,19 +1,46 @@
-//! The executor: runs a physical [`Plan`] against real column data.
+//! The execution core: one operator pipeline that runs a physical [`Plan`]
+//! against real column data.
 //!
-//! Execution is *actual*: predicates are evaluated over the stored codes,
-//! joins materialise real matching row ids, and every operator is charged
-//! simulated time from the shared [`CostModel`] using the **observed**
-//! cardinalities. The per-access statistics it emits ([`AccessStats`]) are
-//! exactly the observations the paper's reward shaping consumes: which
-//! index served which table, how long the access took, and what a full
-//! table scan cost when one was performed.
+//! Execution is *actual*: predicates are evaluated over the stored codes
+//! by a vectorized batch filter, seeks and index-nested-loop probes bisect
+//! the storage [`Index`], joins materialise real matching row ids, and
+//! aggregation sums the payload columns. The pipeline yields the logical
+//! result — result rows and, per access, the index used, the rows emitted
+//! and whether it was a full scan ([`AccessStats`]) — which is exactly what
+//! the paper's reward shaping consumes, plus each operator's physical work
+//! counters ([`OpSample`]).
+//!
+//! Only how time is attributed to an operator varies:
+//!
+//! - **Priced** ([`Executor::new`], the `Simulated` backend): the
+//!   [`CostModel`] prices each operator from the catalog's live sizes and
+//!   the observed cardinalities. No clock is read and no samples are kept.
+//! - **Clocked** ([`Executor::measured`], the `Measured` backend): a
+//!   [`ClockSource`] times each operator, and every operator records an
+//!   [`OpSample`] pairing its work counters with both the clocked seconds
+//!   and the priced ones. [`Executor::dual`] clocks and samples the same
+//!   way but reports the priced seconds, so its trajectory is the priced
+//!   one while the samples feed calibration.
+//!
+//! Both attributions run the same operator code, so their logical results
+//! agree by construction.
+
+use std::collections::HashMap;
 
 use dba_common::{IndexId, QueryId, SimSeconds, TableId};
-use dba_storage::{Catalog, Index, Table};
+use dba_storage::{Catalog, Column, Index, Table};
 
+use crate::backend::{BackendKind, ExecutionBackend, OpKind, OpSample};
 use crate::cost::CostModel;
 use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan};
 use crate::query::{Predicate, Query};
+
+/// Rows per batch in the vectorized scan loop: one selection-vector refill
+/// per window keeps the working set cache-resident.
+const BATCH_ROWS: usize = 4096;
+
+/// A monotonic seconds source. Returned values only ever increase.
+pub type ClockSource = Box<dyn Fn() -> f64 + Send>;
 
 /// Observed statistics for one table access operator.
 #[derive(Debug, Clone)]
@@ -21,7 +48,7 @@ pub struct AccessStats {
     pub table: TableId,
     /// The index used, or `None` for a heap scan.
     pub index: Option<IndexId>,
-    /// Simulated time spent in this access operator (for index nested-loop
+    /// Time attributed to this access operator (for index nested-loop
     /// inner sides: the total across all probes).
     pub time: SimSeconds,
     /// Actual rows emitted after local predicates.
@@ -75,10 +102,168 @@ impl QueryExecution {
     }
 }
 
-/// Runs plans over the catalog, producing observed statistics.
+/// How the pipeline attributes time to the operators it runs.
+trait Timing {
+    /// Mark the start of an operator's work.
+    fn start(&self) -> f64;
+
+    /// Close the operator started at `t0`: `priced` is the cost model's
+    /// price and `work` its counters. Returns the seconds to report.
+    fn charge(&mut self, t0: f64, priced: SimSeconds, work: OpSample) -> SimSeconds;
+}
+
+/// Priced attribution: the cost model's price is the operator's time.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced;
+
+impl Timing for Priced {
+    #[inline]
+    fn start(&self) -> f64 {
+        0.0
+    }
+
+    #[inline]
+    fn charge(&mut self, _t0: f64, priced: SimSeconds, _work: OpSample) -> SimSeconds {
+        priced
+    }
+}
+
+/// Clocked attribution: every operator is timed on the clock and sampled.
+pub struct Clocked {
+    clock: ClockSource,
+    /// `Measured` reports the clocked seconds; `Simulated` reports the
+    /// priced seconds and keeps the clocked samples alongside.
+    reports: BackendKind,
+    samples: Vec<OpSample>,
+}
+
+impl Timing for Clocked {
+    fn start(&self) -> f64 {
+        (self.clock)()
+    }
+
+    fn charge(&mut self, t0: f64, priced: SimSeconds, work: OpSample) -> SimSeconds {
+        let measured_s = (self.clock)() - t0;
+        self.samples.push(OpSample {
+            sim_s: priced.secs(),
+            measured_s,
+            ..work
+        });
+        match self.reports {
+            BackendKind::Measured => SimSeconds::new(measured_s),
+            BackendKind::Simulated => priced,
+        }
+    }
+}
+
+/// Runs plans over the catalog, producing observed statistics; `T` is the
+/// time attribution ([`Priced`] or [`Clocked`]).
 #[derive(Debug, Clone)]
-pub struct Executor {
+pub struct Executor<T = Priced> {
     cost: CostModel,
+    timing: T,
+}
+
+impl Executor {
+    /// The priced executor: the `Simulated` backend.
+    pub fn new(cost: CostModel) -> Self {
+        Executor {
+            cost,
+            timing: Priced,
+        }
+    }
+
+    /// Execute `plan` for `query`, returning observed statistics.
+    ///
+    /// Panics if the plan references indexes that are not materialised —
+    /// plans must be produced against the same catalog state.
+    pub fn execute(&self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
+        Pipeline {
+            cost: &self.cost,
+            timing: &mut Priced,
+            catalog,
+            query,
+        }
+        .run(plan)
+    }
+}
+
+impl Executor<Clocked> {
+    /// The clocked executor reporting measured seconds: the `Measured`
+    /// backend.
+    pub fn measured(cost: CostModel, clock: ClockSource) -> Self {
+        Executor::clocked(cost, clock, BackendKind::Measured)
+    }
+
+    /// The clocked executor reporting priced seconds: its trajectory is the
+    /// priced one, and the clocked samples ride along for calibration.
+    pub fn dual(cost: CostModel, clock: ClockSource) -> Self {
+        Executor::clocked(cost, clock, BackendKind::Simulated)
+    }
+
+    fn clocked(cost: CostModel, clock: ClockSource, reports: BackendKind) -> Self {
+        Executor {
+            cost,
+            timing: Clocked {
+                clock,
+                reports,
+                samples: Vec::new(),
+            },
+        }
+    }
+}
+
+impl<T> Executor<T> {
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+}
+
+impl ExecutionBackend for Executor {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Simulated
+    }
+
+    fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
+        Executor::execute(self, catalog, query, plan)
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+}
+
+impl ExecutionBackend for Executor<Clocked> {
+    /// The kind of time reported: `Measured` for [`Executor::measured`],
+    /// `Simulated` for [`Executor::dual`].
+    fn kind(&self) -> BackendKind {
+        self.timing.reports
+    }
+
+    fn name(&self) -> &'static str {
+        match self.timing.reports {
+            BackendKind::Measured => "measured",
+            BackendKind::Simulated => "dual",
+        }
+    }
+
+    fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
+        Pipeline {
+            cost: &self.cost,
+            timing: &mut self.timing,
+            catalog,
+            query,
+        }
+        .run(plan)
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+
+    fn take_op_samples(&mut self) -> Vec<OpSample> {
+        std::mem::take(&mut self.timing.samples)
+    }
 }
 
 /// Intermediate relation during left-deep join execution: parallel vectors
@@ -103,37 +288,59 @@ impl Intermediate {
     fn table_pos(&self, table: TableId) -> Option<usize> {
         self.tables.iter().position(|&t| t == table)
     }
+
+    /// Join `table` in: tuple `k` pairs with every inner row that `inner`
+    /// yields for tuple `k`'s value of `outer`, which lives on the already
+    /// joined table at `outer_pos`.
+    fn join<I: IntoIterator<Item = u32>>(
+        self,
+        table: TableId,
+        outer: &Column,
+        outer_pos: usize,
+        mut inner: impl FnMut(i64) -> I,
+    ) -> Intermediate {
+        let width = self.columns.len();
+        let mut columns: Vec<Vec<u32>> = (0..width + 1).map(|_| Vec::new()).collect();
+        for k in 0..self.len {
+            for ir in inner(outer.value(self.columns[outer_pos][k] as usize)) {
+                for (ci, col) in self.columns.iter().enumerate() {
+                    columns[ci].push(col[k]);
+                }
+                columns[width].push(ir);
+            }
+        }
+        let mut tables = self.tables;
+        tables.push(table);
+        Intermediate {
+            tables,
+            len: columns[0].len(),
+            columns,
+        }
+    }
 }
 
-impl Executor {
-    pub fn new(cost: CostModel) -> Self {
-        Executor { cost }
-    }
+/// One query's run through the operators under a time attribution.
+struct Pipeline<'a, T> {
+    cost: &'a CostModel,
+    timing: &'a mut T,
+    catalog: &'a Catalog,
+    query: &'a Query,
+}
 
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Execute `plan` for `query`, returning observed statistics.
-    ///
-    /// Panics if the plan references indexes that are not materialised —
-    /// plans must be produced against the same catalog state.
-    pub fn execute(&self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
+impl<T: Timing> Pipeline<'_, T> {
+    fn run(mut self, plan: &Plan) -> QueryExecution {
+        let (catalog, query) = (self.catalog, self.query);
         let mut accesses = Vec::with_capacity(1 + plan.joins.len());
         let mut join_time = SimSeconds::ZERO;
 
         // Driver access.
-        let driver_table = catalog.table(plan.driver.table);
-        let preds = query.predicates_on(plan.driver.table);
-        let (rows, stats) =
-            self.run_access(catalog, driver_table, &plan.driver.method, &preds, query);
+        let (rows, stats) = self.access(plan.driver.table, &plan.driver.method);
         accesses.push(stats);
         let mut inter = Intermediate::single(plan.driver.table, rows);
 
         // Join steps.
         for step in &plan.joins {
             let inner_table = catalog.table(step.access.table);
-            let inner_preds = query.predicates_on(step.access.table);
             // The outer side of this join lives on an already-joined table.
             let outer_col = step
                 .join
@@ -142,51 +349,41 @@ impl Executor {
             let outer_pos = inter
                 .table_pos(outer_col.table)
                 .expect("left-deep plan: outer table must already be joined");
-            let inner_col = step
-                .join
-                .side_on(step.access.table)
-                .expect("join step must reference the new table");
+            let outer = catalog.table(outer_col.table).column(outer_col.ordinal);
 
             match step.algo {
                 JoinAlgo::Hash => {
-                    let (inner_rows, stats) = self.run_access(
-                        catalog,
-                        inner_table,
-                        &step.access.method,
-                        &inner_preds,
-                        query,
-                    );
+                    let (inner_rows, stats) = self.access(step.access.table, &step.access.method);
                     accesses.push(stats);
+                    let inner_col = step
+                        .join
+                        .side_on(step.access.table)
+                        .expect("join step must reference the new table");
 
                     // Build on the inner side, probe with the outer.
+                    let t0 = self.timing.start();
                     let inner_vals = inner_table.column(inner_col.ordinal).data();
-                    let mut build: std::collections::HashMap<i64, Vec<u32>> =
-                        std::collections::HashMap::with_capacity(inner_rows.len());
+                    let mut build: HashMap<i64, Vec<u32>> =
+                        HashMap::with_capacity(inner_rows.len());
                     for &r in &inner_rows {
                         build.entry(inner_vals[r as usize]).or_default().push(r);
                     }
                     let build_rows = inner_rows.len() as u64;
                     let probe_rows = inter.len as u64;
-
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        if let Some(matches) = build.get(&ov) {
-                            for &ir in matches {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                            }
-                        }
-                    }
-                    let len = new_cols[0].len();
-                    join_time += self.cost.hash_join(build_rows, probe_rows, len as u64);
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = len;
+                    inter = inter.join(step.access.table, outer, outer_pos, |v| {
+                        build.get(&v).map_or(&[][..], Vec::as_slice).iter().copied()
+                    });
+                    let out_rows = inter.len as u64;
+                    join_time += self.timing.charge(
+                        t0,
+                        self.cost.hash_join(build_rows, probe_rows, out_rows),
+                        OpSample {
+                            build_rows,
+                            probe_rows,
+                            out_rows,
+                            ..OpSample::with_op(OpKind::HashJoin)
+                        },
+                    );
                 }
                 JoinAlgo::IndexNestedLoop => {
                     let index_id = step
@@ -194,59 +391,80 @@ impl Executor {
                         .method
                         .index_id()
                         .expect("INL join requires an inner index");
-                    let index = catalog
-                        .index(index_id)
-                        .expect("plan references unmaterialised index");
+                    let index = materialised(catalog, index_id);
                     let covering = matches!(
                         step.access.method,
                         AccessMethod::IndexSeek { covering: true, .. }
                     );
+                    let inner_preds = query.predicates_on(step.access.table);
 
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    let mut total_matched = 0u64;
-                    let mut total_out = 0u64;
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        let (s, e) = index.probe(inner_table, &[ov], None);
-                        total_matched += (e - s) as u64;
-                        for &ir in &index.ordered_rows()[s..e] {
-                            if row_matches(inner_table, ir, &inner_preds) {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                                total_out += 1;
-                            }
-                        }
-                    }
-                    let leaf_row_bytes = leaf_row_bytes(inner_table, index);
-                    let heap_fetches = if covering { 0 } else { total_matched };
-                    let time = self.cost.inl_probes(
-                        inter.len as u64,
-                        total_matched,
-                        leaf_row_bytes,
-                        heap_fetches,
-                        catalog.live_heap_pages(step.access.table),
+                    let t0 = self.timing.start();
+                    let probes = inter.len as u64;
+                    let mut matched = 0u64;
+                    let mut pages = 0u64;
+                    inter = inter.join(step.access.table, outer, outer_pos, |v| {
+                        let (s, e) = index.probe(inner_table, &[v], None);
+                        matched += (e - s) as u64;
+                        pages += probe_leaf_pages(index, (e - s) as u64);
+                        let preds = &inner_preds;
+                        index.ordered_rows()[s..e]
+                            .iter()
+                            .copied()
+                            .filter(move |&r| row_matches(inner_table, r, preds))
+                    });
+                    let rows_out = inter.len as u64;
+                    let heap_fetches = if covering { 0 } else { matched };
+                    let time = self.timing.charge(
+                        t0,
+                        self.cost.inl_probes(
+                            probes,
+                            matched,
+                            leaf_row_bytes(inner_table, index),
+                            heap_fetches,
+                            catalog.live_heap_pages(step.access.table),
+                        ),
+                        OpSample {
+                            pages,
+                            rows: matched,
+                            descents: probes,
+                            out_rows: rows_out,
+                            ..OpSample::with_op(OpKind::InlProbe)
+                        },
                     );
                     accesses.push(AccessStats {
                         table: step.access.table,
                         index: Some(index_id),
                         time,
-                        rows_out: total_out,
+                        rows_out,
                         is_full_scan: false,
                     });
-                    let len = new_cols[0].len();
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = len;
                 }
             }
         }
 
         let agg_time = if query.aggregated {
-            self.cost.aggregate(inter.len as u64)
+            let t0 = self.timing.start();
+            // Sum every payload column over the joined row ids: the work
+            // `agg_row_s` models.
+            for pc in &query.payload {
+                if let Some(pos) = inter.table_pos(pc.table) {
+                    let col = catalog.table(pc.table).column(pc.ordinal);
+                    let acc = inter.columns[pos]
+                        .iter()
+                        .fold(0i64, |acc, &r| acc.wrapping_add(col.value(r as usize)));
+                    std::hint::black_box(acc);
+                }
+            }
+            let rows = inter.len as u64;
+            self.timing.charge(
+                t0,
+                self.cost.aggregate(rows),
+                OpSample {
+                    rows,
+                    out_rows: 1,
+                    ..OpSample::with_op(OpKind::Aggregate)
+                },
+            )
         } else {
             SimSeconds::ZERO
         };
@@ -262,91 +480,115 @@ impl Executor {
         }
     }
 
-    /// Run a single-table access, returning matching row ids and stats.
-    fn run_access(
-        &self,
-        catalog: &Catalog,
-        table: &Table,
-        method: &AccessMethod,
-        preds: &[Predicate],
-        query: &Query,
-    ) -> (Vec<u32>, AccessStats) {
-        match method {
+    /// Run a single-table access, returning matching row ids (ascending for
+    /// scans, key order for seeks) and its stats.
+    fn access(&mut self, table_id: TableId, method: &AccessMethod) -> (Vec<u32>, AccessStats) {
+        let catalog = self.catalog;
+        let table = catalog.table(table_id);
+        let preds = self.query.predicates_on(table_id);
+        let (rows, time) = match method {
             AccessMethod::FullScan => {
-                let rows = filter_all(table, preds);
-                // Time is charged over the *live* heap: drift-grown tables
+                let t0 = self.timing.start();
+                let rows = batch_filter(table, &preds);
+                // Time is priced over the *live* heap: drift-grown tables
                 // scan slower even though only generated rows materialise.
-                let time = self.cost.scan(
-                    catalog.live_heap_pages(table.id()),
-                    catalog.live_rows(table.id()),
+                let time = self.timing.charge(
+                    t0,
+                    self.cost.scan(
+                        catalog.live_heap_pages(table_id),
+                        catalog.live_rows(table_id),
+                    ),
+                    OpSample {
+                        pages: table.heap_pages(),
+                        rows: table.rows() as u64,
+                        out_rows: rows.len() as u64,
+                        ..OpSample::with_op(OpKind::SeqScan)
+                    },
                 );
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: None,
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: true,
-                };
-                (rows, stats)
+                (rows, time)
             }
             AccessMethod::IndexSeek { index, covering } => {
-                let ix = catalog
-                    .index(*index)
-                    .expect("plan references unmaterialised index");
-                let shape = seek_shape(ix.def(), preds);
+                let ix = materialised(catalog, *index);
+                let shape = seek_shape(ix.def(), &preds);
+                let t0 = self.timing.start();
                 let (s, e) = ix.probe(table, &shape.eq_values, shape.range);
-                let matched = (e - s) as u64;
-                let mut rows = Vec::with_capacity(e - s);
-                for &r in &ix.ordered_rows()[s..e] {
-                    if shape.residual.is_empty() || row_matches(table, r, &shape.residual) {
-                        rows.push(r);
+                let rows: Vec<u32> = ix.ordered_rows()[s..e]
+                    .iter()
+                    .copied()
+                    .filter(|&r| row_matches(table, r, &shape.residual))
+                    .collect();
+                if !covering {
+                    // Fetch the needed columns from the heap: the work the
+                    // cost model's random heap reads stand for.
+                    let mut fetched = Vec::new();
+                    for ord in self.query.columns_needed_on(table_id) {
+                        table.column(ord).gather_into(&rows, &mut fetched);
+                        std::hint::black_box(fetched.as_slice());
                     }
                 }
-                // A non-covering seek fetches every leaf-matched row from the
-                // heap (residuals and payload are evaluated there).
+                let matched = (e - s) as u64;
                 let heap_fetches = if *covering { 0 } else { matched };
-                let time = self.cost.index_seek(
-                    matched,
-                    leaf_row_bytes(table, ix),
-                    heap_fetches,
-                    catalog.live_heap_pages(table.id()),
+                let time = self.timing.charge(
+                    t0,
+                    self.cost.index_seek(
+                        matched,
+                        leaf_row_bytes(table, ix),
+                        heap_fetches,
+                        catalog.live_heap_pages(table_id),
+                    ),
+                    OpSample {
+                        pages: probe_leaf_pages(ix, matched),
+                        rows: matched,
+                        descents: 1,
+                        out_rows: rows.len() as u64,
+                        ..OpSample::with_op(OpKind::IndexSeek)
+                    },
                 );
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: Some(*index),
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: false,
-                };
-                (rows, stats)
+                (rows, time)
             }
             AccessMethod::CoveringScan { index } => {
-                let ix = catalog
-                    .index(*index)
-                    .expect("plan references unmaterialised index");
+                let ix = materialised(catalog, *index);
                 debug_assert!(
-                    ix.def().covers(&query.columns_needed_on(table.id())),
+                    ix.def().covers(&self.query.columns_needed_on(table_id)),
                     "covering scan over a non-covering index"
                 );
-                let rows = filter_all(table, preds);
+                let t0 = self.timing.start();
+                let rows = batch_filter(table, &preds);
                 // Maintained leaves grow with the table (drift): the
                 // catalog's live accounting scales each index by the growth
                 // it actually absorbed since creation.
-                let leaf_pages = catalog.index_live_leaf_pages(ix.id());
-                let time = self
-                    .cost
-                    .covering_scan(leaf_pages, catalog.live_rows(table.id()));
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: Some(*index),
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: false,
-                };
-                (rows, stats)
+                let time = self.timing.charge(
+                    t0,
+                    self.cost.covering_scan(
+                        catalog.index_live_leaf_pages(ix.id()),
+                        catalog.live_rows(table_id),
+                    ),
+                    OpSample {
+                        pages: ix.leaf_pages(),
+                        rows: table.rows() as u64,
+                        out_rows: rows.len() as u64,
+                        ..OpSample::with_op(OpKind::CoveringScan)
+                    },
+                );
+                (rows, time)
             }
-        }
+        };
+        let stats = AccessStats {
+            table: table_id,
+            index: method.index_id(),
+            time,
+            rows_out: rows.len() as u64,
+            is_full_scan: matches!(method, AccessMethod::FullScan),
+        };
+        (rows, stats)
     }
+}
+
+/// The catalog's index `id`; plans must reference materialised indexes.
+fn materialised(catalog: &Catalog, id: IndexId) -> &Index {
+    catalog
+        .index(id)
+        .expect("plan references unmaterialised index")
 }
 
 /// Bytes per leaf row of `index` on `table` (keys + includes + locator).
@@ -354,21 +596,35 @@ fn leaf_row_bytes(table: &Table, index: &Index) -> u64 {
     table.columns_width(&index.def().key_cols) + table.columns_width(&index.def().include_cols) + 8
 }
 
-/// Row ids of `table` matching all `preds` (full evaluation).
-fn filter_all(table: &Table, preds: &[Predicate]) -> Vec<u32> {
-    if preds.is_empty() {
-        return (0..table.rows() as u32).collect();
-    }
-    let cols: Vec<&[i64]> = preds
-        .iter()
-        .map(|p| table.column(p.column.ordinal).data())
-        .collect();
+/// Leaf pages a probe matching `matched` entries spans, from the index's
+/// geometry: a descent always lands on at least one leaf.
+fn probe_leaf_pages(index: &Index, matched: u64) -> u64 {
+    (matched * index.leaf_pages())
+        .div_ceil(index.rows().max(1) as u64)
+        .max(1)
+}
+
+/// Vectorized conjunctive filter: seed an ascending selection vector per
+/// [`BATCH_ROWS`] window from the first predicate, refine it in place with
+/// the rest. Returns every matching row id of `table`, ascending.
+fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
+    let n = table.rows();
+    let Some((first, rest)) = preds.split_first() else {
+        return (0..n as u32).collect();
+    };
+    let seed = table.column(first.column.ordinal);
     let mut out = Vec::new();
-    for r in 0..table.rows() {
-        let ok = preds.iter().zip(&cols).all(|(p, c)| p.matches(c[r]));
-        if ok {
-            out.push(r as u32);
+    let mut batch = Vec::with_capacity(BATCH_ROWS);
+    for start in (0..n).step_by(BATCH_ROWS) {
+        let end = (start + BATCH_ROWS).min(n);
+        batch.clear();
+        seed.fill_matching_in(first.lo, first.hi, start, end, &mut batch);
+        for p in rest {
+            table
+                .column(p.column.ordinal)
+                .retain_matching(p.lo, p.hi, &mut batch);
         }
+        out.extend_from_slice(&batch);
     }
     out
 }
@@ -751,5 +1007,140 @@ mod tests {
         let exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
         assert_eq!(result.result_rows, 5000);
+    }
+
+    /// A deterministic clock: each read advances time by one microsecond.
+    fn ticks() -> ClockSource {
+        let t = std::cell::Cell::new(0u64);
+        Box::new(move || {
+            t.set(t.get() + 1);
+            t.get() as f64 * 1e-6
+        })
+    }
+
+    /// One plan per operator kind over `cat`'s fact and dim tables.
+    fn every_operator(cat: &mut Catalog) -> Vec<(Query, Plan)> {
+        let seek_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
+            .unwrap();
+        let cover_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
+            .unwrap();
+        let fk_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![1], vec![]))
+            .unwrap();
+        let single = |method| Plan {
+            driver: TableAccess {
+                table: TableId(1),
+                method,
+                est_rows: 0.0,
+            },
+            joins: vec![],
+            aggregated: false,
+            est_cost: SimSeconds::ZERO,
+        };
+        let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 300)], vec![col(1, 0)]);
+        let mut out: Vec<(Query, Plan)> = [
+            AccessMethod::FullScan,
+            AccessMethod::IndexSeek {
+                index: seek_ix.id,
+                covering: false,
+            },
+            AccessMethod::IndexSeek {
+                index: cover_ix.id,
+                covering: true,
+            },
+            AccessMethod::CoveringScan { index: cover_ix.id },
+        ]
+        .into_iter()
+        .map(|m| (q.clone(), single(m)))
+        .collect();
+        let jq = join_query();
+        for (algo, method) in [
+            (JoinAlgo::Hash, AccessMethod::FullScan),
+            (
+                JoinAlgo::IndexNestedLoop,
+                AccessMethod::IndexSeek {
+                    index: fk_ix.id,
+                    covering: false,
+                },
+            ),
+        ] {
+            let plan = Plan {
+                driver: scan_plan(TableId(0), 0.0).driver,
+                joins: vec![JoinStep {
+                    access: TableAccess {
+                        table: TableId(1),
+                        method,
+                        est_rows: 0.0,
+                    },
+                    algo,
+                    join: jq.joins[0],
+                    est_rows_out: 0.0,
+                }],
+                aggregated: true,
+                est_cost: SimSeconds::ZERO,
+            };
+            out.push((jq.clone(), plan));
+        }
+        out
+    }
+
+    #[test]
+    fn batch_filter_is_ascending_and_complete() {
+        let cat = catalog();
+        let t = cat.table(TableId(1));
+        let preds = [
+            Predicate::range(col(1, 2), 100, 700),
+            Predicate::range(col(1, 1), 0, 150),
+        ];
+        let want: Vec<u32> = (0..t.rows() as u32)
+            .filter(|&r| row_matches(t, r, &preds))
+            .collect();
+        assert_eq!(batch_filter(t, &preds), want);
+        assert_eq!(batch_filter(t, &[]).len(), t.rows());
+    }
+
+    #[test]
+    fn clocked_samples_every_operator_and_drains() {
+        let mut cat = catalog();
+        let plans = every_operator(&mut cat);
+        let mut measured = Executor::measured(CostModel::unit_scale(), ticks());
+        for (q, plan) in &plans {
+            let e = ExecutionBackend::execute(&mut measured, &cat, q, plan);
+            assert!(e.total.secs() > 0.0, "the clock charges elapsed time");
+        }
+        let samples = measured.take_op_samples();
+        for op in OpKind::ALL {
+            assert!(samples.iter().any(|s| s.op() == op), "no {op:?} sample");
+        }
+        for s in &samples {
+            assert!(s.sim_s > 0.0 && s.measured_s > 0.0, "{:?}", s.op());
+            if matches!(s.op(), OpKind::IndexSeek | OpKind::InlProbe) {
+                assert!(s.pages >= 1, "a descent lands on a leaf");
+            }
+        }
+        assert!(measured.take_op_samples().is_empty(), "samples drain");
+        assert_eq!(measured.kind(), BackendKind::Measured);
+    }
+
+    #[test]
+    fn dual_reports_priced_time_and_keeps_clocked_samples() {
+        let mut cat = catalog();
+        let plans = every_operator(&mut cat);
+        let priced = Executor::new(CostModel::unit_scale());
+        let mut dual = Executor::dual(CostModel::unit_scale(), ticks());
+        let mut priced_total = 0.0;
+        for (q, plan) in &plans {
+            let p = priced.execute(&cat, q, plan);
+            let d = ExecutionBackend::execute(&mut dual, &cat, q, plan);
+            assert_eq!(d.total.secs().to_bits(), p.total.secs().to_bits());
+            priced_total += p.total.secs();
+        }
+        let samples = dual.take_op_samples();
+        let sampled: f64 = samples.iter().map(|s| s.sim_s).sum();
+        assert!((sampled / priced_total - 1.0).abs() < 1e-9);
+        assert!(samples.iter().all(|s| s.measured_s > 0.0));
+        assert_eq!((dual.kind(), dual.name()), (BackendKind::Simulated, "dual"));
     }
 }

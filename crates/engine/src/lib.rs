@@ -3,7 +3,8 @@
 //! This crate is the "DBMS execution half" of the substrate: given a
 //! [`Plan`] (produced by `dba-optimizer` from *estimates*), the [`Executor`]
 //! runs it against real columnar data, observing **actual** cardinalities and
-//! charging costs through the same [`CostModel`] the optimiser uses. The
+//! charging costs through the same [`CostModel`] the optimiser uses (or,
+//! clocked, timing each operator on an injected [`ClockSource`]). The
 //! simulated-seconds divergence between plan-time estimates and run-time
 //! observations is therefore caused purely by cardinality misestimation —
 //! the phenomenon the paper's bandit exploits and the commercial advisor
@@ -17,6 +18,6 @@ pub mod query;
 
 pub use backend::{simulated, BackendKind, ExecutionBackend, OpKind, OpSample};
 pub use cost::{CostModel, PAPER_TIME_SCALE};
-pub use exec::{AccessStats, Executor, QueryExecution};
+pub use exec::{AccessStats, ClockSource, Clocked, Executor, QueryExecution};
 pub use plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
 pub use query::{JoinPred, Predicate, Query, WorkloadSlice};

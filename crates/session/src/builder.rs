@@ -146,18 +146,18 @@ impl SessionBuilder {
     }
 
     /// Select the execution backend by kind: `Simulated` (default — the
-    /// cost-priced engine executor, bit-exact with every prior trajectory)
-    /// or `Measured` (real physical operators from `dba-backend`, timed on
-    /// the wall-clock). The bench harness maps the `DBA_BACKEND` env knob
-    /// here.
+    /// engine's operators priced by the cost model, bit-exact with every
+    /// prior trajectory) or `Measured` (the same operators timed on the
+    /// wall-clock, constructed by `dba-backend`). The bench harness maps
+    /// the `DBA_BACKEND` env knob here.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = BackendChoice::Kind(kind);
         self
     }
 
     /// Install a caller-constructed backend (e.g. `dba_backend::dual` for
-    /// lock-step parity checking, or a measured backend on an injected
-    /// clock for deterministic tests). Overrides
+    /// the priced trajectory with clocked operator samples, or a measured
+    /// backend on an injected clock for deterministic tests). Overrides
     /// [`backend`](SessionBuilder::backend).
     pub fn backend_boxed(mut self, backend: Box<dyn ExecutionBackend>) -> Self {
         self.backend = BackendChoice::Custom(backend);

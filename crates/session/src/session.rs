@@ -65,7 +65,7 @@ pub struct TuningSession<A: Advisor> {
     seed: u64,
     memory_budget_bytes: u64,
     /// The execution seam: how physical plans are run. `Simulated` (the
-    /// engine's cost-priced executor) by default; `Measured` (real
+    /// engine's cost-priced executor) by default; `Measured` (the same
     /// operators on an injected clock, crate `dba-backend`) or any custom
     /// implementation via
     /// [`SessionBuilder::backend`](crate::SessionBuilder::backend) /

@@ -63,9 +63,11 @@ pub use dba_core as bandit;
 pub use dba_engine as engine;
 
 /// Execution backends: the [`ExecutionBackend`](engine::ExecutionBackend)
-/// seam plus the factory functions that construct its implementations —
-/// the cost-priced `Simulated` backend, the physical `Measured` backend,
-/// and the lock-step parity `dual` backend. Sessions select one via
+/// seam plus the factory functions that construct its implementations.
+/// All of them run the engine's one operator pipeline and differ only in
+/// time attribution: the cost-priced `Simulated` backend, the clocked
+/// `Measured` backend, and the `dual` backend (priced times plus clocked
+/// operator samples). Sessions select one via
 /// [`SessionBuilder::backend`](session::SessionBuilder::backend) (or the
 /// `DBA_BACKEND` env knob in the bench harness).
 pub mod backend {
