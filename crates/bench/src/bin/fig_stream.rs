@@ -11,6 +11,11 @@
 //! deterministic and thread-count independent. Wall-clock per-window
 //! latency is measured alongside as advisory telemetry.
 //!
+//! The 0.2 s "hard" budget bounds *simulated* seconds: the ladder and the
+//! p99 self-check below read the priced recommend step, not the wall
+//! clock. The `wall p99 (s)` column is advisory — wall time depends on the
+//! machine, so no check gates it.
+//!
 //! Self-checks (the scenario's contract):
 //! * sustained simulated throughput ≥ 1M queries/min for every tuner under
 //!   the steady preset (arrivals over window time + tuner overheads);

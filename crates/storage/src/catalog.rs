@@ -1,11 +1,19 @@
-//! The catalog: an immutable, shareable data base plus the mutable
-//! per-session overlay of secondary indexes and drift state.
+//! The catalog: a logically immutable, shareable data base plus the
+//! mutable per-session overlay of secondary indexes and drift state.
 //!
 //! Generated table data lives in a single [`BaseData`] behind an `Arc`:
 //! forking a catalog for another tuner session ([`Catalog::fork_empty`])
 //! is one reference-count bump, never a data copy, and the shared base is
 //! `Sync` so forks can run on different threads. Each fork owns the cheap
 //! per-session parts — its index set and its drift overlay.
+//!
+//! Besides the tables, the base memoizes derived **sort orders**: an
+//! index's row order depends only on `(table, key_cols)`, so
+//! [`Catalog::create_index`] sorts each key tuple once per `BaseData` and
+//! every later build of it — a dropped or vetoed index proposed again, the
+//! same index in a forked session or on another thread — shares that
+//! order. The memo holds 4 B × rows per distinct key tuple and keeps it
+//! for the life of the `BaseData`.
 //!
 //! Data change (HTAP-style drift) is modelled as a per-table **logical
 //! overlay** ([`TableDriftState`]): inserts grow the live row count and the
@@ -20,7 +28,7 @@
 //! cheap configuration signature to validate against.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dba_common::{DbError, DbResult, IndexId, TableId};
 
@@ -61,15 +69,24 @@ impl TableDriftState {
     }
 }
 
-/// The immutable half of the storage layer: every generated table of a
-/// benchmark, built once and shared (`Arc`) by all sessions over it.
+/// Memo key of a sort order: the table and its key columns, in order.
+type OrderKey = (TableId, Vec<u16>);
+
+/// The logically immutable half of the storage layer: every generated
+/// table of a benchmark, built once and shared (`Arc`) by all sessions over
+/// it.
 ///
-/// `BaseData` is never mutated after construction — indexes and drift live
-/// in each session's [`Catalog`] overlay — so sharing it across threads is
-/// safe and forking a session is free.
+/// The tables never change after construction — indexes and drift live in
+/// each session's [`Catalog`] overlay — so sharing them across threads is
+/// safe and forking a session is free. The one interior mutation is a memo
+/// of derived sort orders (see the module docs): 4 B × rows per distinct
+/// `(table, key_cols)`, kept for the life of the `BaseData`. An order is a
+/// pure function of the tables, so how warm the memo is never reaches a
+/// result.
 #[derive(Debug)]
 pub struct BaseData {
     tables: Vec<Table>,
+    sort_orders: Mutex<BTreeMap<OrderKey, Arc<[u32]>>>,
 }
 
 impl BaseData {
@@ -81,7 +98,10 @@ impl BaseData {
                 "table ids must be dense and ordered"
             );
         }
-        BaseData { tables }
+        BaseData {
+            tables,
+            sort_orders: Mutex::new(BTreeMap::new()),
+        }
     }
 
     #[inline]
@@ -97,6 +117,34 @@ impl BaseData {
     /// Total bytes of generated (pre-drift) heap data.
     pub fn generated_bytes(&self) -> u64 {
         self.tables.iter().map(|t| t.heap_bytes()).sum()
+    }
+
+    /// Memoized sort orders so far: `(distinct key tuples, bytes held)`.
+    pub fn sort_order_footprint(&self) -> (usize, u64) {
+        let orders = self.memo();
+        let bytes = orders.values().map(|o| 4 * o.len() as u64).sum();
+        (orders.len(), bytes)
+    }
+
+    /// `def`'s row order, sorted on the first request for its
+    /// `(table, key_cols)` and shared by every later one.
+    fn sort_order(&self, def: &IndexDef) -> Arc<[u32]> {
+        let key = (def.table, def.key_cols.clone());
+        if let Some(order) = self.memo().get(&key) {
+            return Arc::clone(order);
+        }
+        // Sort outside the lock. Concurrent misses on one key compute the
+        // same order, so it does not matter whose insert wins.
+        let order = Index::sort_rows(self.table(def.table), &def.key_cols);
+        Arc::clone(self.memo().entry(key).or_insert(order))
+    }
+
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<OrderKey, Arc<[u32]>>> {
+        // The memo holds pure values, so a panic elsewhere cannot leave it
+        // inconsistent: recover a poisoned lock rather than propagate.
+        self.sort_orders
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -139,7 +187,7 @@ impl Catalog {
         }
     }
 
-    /// The shared immutable base this catalog overlays.
+    /// The shared, logically immutable base this catalog overlays.
     #[inline]
     pub fn base(&self) -> &Arc<BaseData> {
         &self.base
@@ -332,7 +380,8 @@ impl Catalog {
     /// Materialise an index. Returns the new index id and its size.
     ///
     /// The caller is responsible for charging creation time through the cost
-    /// model; the catalog only builds the structure.
+    /// model; the catalog only builds the structure. The row order comes
+    /// from the base's memo, so only the first build of a key tuple sorts.
     // bumps: catalog_version
     pub fn create_index(&mut self, def: IndexDef) -> DbResult<IndexMeta> {
         if def.key_cols.is_empty() {
@@ -352,7 +401,8 @@ impl Catalog {
         }
         let id = IndexId(self.next_index);
         self.next_index += 1;
-        let ix = Index::build(id, def.clone(), self.base.table(def.table));
+        let order = self.base.sort_order(&def);
+        let ix = Index::with_order(id, def.clone(), self.base.table(def.table), order);
         let growth_at_creation = self.index_growth(def.table);
         let meta = IndexMeta {
             id,
@@ -398,7 +448,8 @@ impl Catalog {
 
     /// Fresh catalog over the same shared base data, with no indexes and no
     /// drift — used to give each tuner an identical starting state. Costs
-    /// one `Arc` bump; the generated data is never copied.
+    /// one `Arc` bump; the generated data is never copied, and the fork
+    /// shares the base's sort-order memo.
     pub fn fork_empty(&self) -> Catalog {
         Catalog::from_base(Arc::clone(&self.base))
     }
@@ -658,5 +709,197 @@ mod tests {
             .create_index(IndexDef::new(TableId(0), vec![0, 1], vec![]))
             .unwrap();
         assert!(c.id.raw() > b.id.raw(), "ids are never reused");
+    }
+
+    /// Two tables with tie-heavy leading columns, so composite and
+    /// reversed key orders all differ from one another.
+    fn wide_catalog() -> Catalog {
+        let t = TableSchema::new(
+            "t",
+            vec![
+                ColumnSpec::new("a", ColumnType::Int, Distribution::Uniform { lo: 0, hi: 9 }),
+                ColumnSpec::new("b", ColumnType::Int, Distribution::Uniform { lo: 0, hi: 3 }),
+                ColumnSpec::new("c", ColumnType::Int, Distribution::Sequential),
+            ],
+        );
+        let u = TableSchema::new(
+            "u",
+            vec![
+                ColumnSpec::new("x", ColumnType::Int, Distribution::Uniform { lo: 0, hi: 2 }),
+                ColumnSpec::new(
+                    "y",
+                    ColumnType::Int,
+                    Distribution::Uniform { lo: 0, hi: 49 },
+                ),
+            ],
+        );
+        Catalog::new(vec![
+            TableBuilder::new(t, 700).build(TableId(0), 5),
+            TableBuilder::new(u, 300).build(TableId(1), 5),
+        ])
+    }
+
+    /// Key orders over `wide_catalog`: single, composite and reversed.
+    fn key_orders() -> Vec<IndexDef> {
+        [
+            (0, vec![0]),
+            (0, vec![1]),
+            (0, vec![0, 1]),
+            (0, vec![1, 0]),
+            (0, vec![1, 0, 2]),
+            (0, vec![2, 1]),
+            (1, vec![0, 1]),
+            (1, vec![1, 0]),
+        ]
+        .into_iter()
+        .map(|(t, keys)| IndexDef::new(TableId(t), keys, vec![]))
+        .collect()
+    }
+
+    fn fresh_order(cat: &Catalog, def: &IndexDef) -> Vec<u32> {
+        Index::build(IndexId(0), def.clone(), cat.table(def.table))
+            .ordered_rows()
+            .to_vec()
+    }
+
+    #[test]
+    fn memo_hits_equal_fresh_builds() {
+        let mut cat = wide_catalog();
+        for def in key_orders() {
+            let first = cat.create_index(def.clone()).unwrap();
+            cat.drop_index(first.id).unwrap();
+            let (entries, _) = cat.base().sort_order_footprint();
+            let hit = cat.create_index(def.clone()).unwrap();
+            assert_eq!(cat.base().sort_order_footprint().0, entries, "a hit");
+            assert_eq!(
+                cat.index(hit.id).unwrap().ordered_rows(),
+                fresh_order(&cat, &def),
+                "{def:?}"
+            );
+        }
+        assert_eq!(cat.base().sort_order_footprint().0, key_orders().len());
+    }
+
+    #[test]
+    fn same_keys_with_other_includes_share_one_order() {
+        let mut cat = wide_catalog();
+        let a = cat
+            .create_index(IndexDef::new(TableId(0), vec![1, 0], vec![]))
+            .unwrap();
+        let b = cat
+            .create_index(IndexDef::new(TableId(0), vec![1, 0], vec![2]))
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            cat.index(a.id).unwrap().order(),
+            cat.index(b.id).unwrap().order()
+        ));
+        assert_eq!(cat.base().sort_order_footprint(), (1, 4 * 700));
+        // Sizes still follow each def, includes and all.
+        assert!(b.size_bytes > a.size_bytes);
+    }
+
+    #[test]
+    fn recreate_after_drop_reuses_order_but_not_id_or_version() {
+        let mut cat = wide_catalog();
+        let def = IndexDef::new(TableId(0), vec![0, 1], vec![2]);
+        let first = cat.create_index(def.clone()).unwrap();
+        let order = Arc::clone(cat.index(first.id).unwrap().order());
+        assert_eq!(cat.table_version(TableId(0)), 1);
+        cat.drop_index(first.id).unwrap();
+        let again = cat.create_index(def).unwrap();
+        assert!(again.id.raw() > first.id.raw(), "ids are never reused");
+        assert_eq!(cat.table_version(TableId(0)), 3, "drop and create bump");
+        assert!(Arc::ptr_eq(cat.index(again.id).unwrap().order(), &order));
+        assert_eq!(again.size_bytes, first.size_bytes);
+    }
+
+    #[test]
+    fn forks_share_the_memo() {
+        let mut cat = wide_catalog();
+        let def = IndexDef::new(TableId(1), vec![1, 0], vec![]);
+        let meta = cat.create_index(def.clone()).unwrap();
+        let mut fork = cat.fork_empty();
+        let forked = fork.create_index(def).unwrap();
+        assert!(Arc::ptr_eq(
+            fork.index(forked.id).unwrap().order(),
+            cat.index(meta.id).unwrap().order()
+        ));
+        assert_eq!(fork.base().sort_order_footprint(), (1, 4 * 300));
+    }
+
+    #[test]
+    fn rejected_defs_leave_the_memo_untouched() {
+        let mut cat = wide_catalog();
+        let reject = |keys: Vec<u16>, include_cols: Vec<u16>, table: u32| IndexDef {
+            table: TableId(table),
+            key_cols: keys,
+            include_cols,
+        };
+        for def in [
+            reject(vec![], vec![0], 0),
+            reject(vec![7], vec![], 0),
+            reject(vec![0], vec![7], 0),
+            reject(vec![2], vec![], 1),
+            reject(vec![0], vec![], 9),
+        ] {
+            assert!(cat.create_index(def).is_err());
+        }
+        assert_eq!(cat.base().sort_order_footprint(), (0, 0));
+        assert_eq!(cat.all_indexes().count(), 0);
+        assert_eq!(cat.table_version(TableId(0)), 0);
+    }
+
+    #[test]
+    fn poisoned_memo_recovers() {
+        let mut cat = wide_catalog();
+        let base = Arc::clone(cat.base());
+        std::thread::spawn(move || {
+            let _guard = base.sort_orders.lock();
+            panic!("poison the memo");
+        })
+        .join()
+        .unwrap_err();
+        assert!(cat.base().sort_orders.is_poisoned());
+        let def = IndexDef::new(TableId(0), vec![1], vec![]);
+        let meta = cat.create_index(def.clone()).unwrap();
+        assert_eq!(
+            cat.index(meta.id).unwrap().ordered_rows(),
+            fresh_order(&cat, &def)
+        );
+        assert_eq!(cat.base().sort_order_footprint().0, 1);
+    }
+
+    /// Three threads build overlapping defs, each in its own order, on
+    /// forks of one base: every order equals a single-threaded sort, and
+    /// the memo keeps exactly one order per distinct `(table, key_cols)`.
+    #[test]
+    fn concurrent_forks_agree_with_single_threaded_builds() {
+        let cat = wide_catalog();
+        let mut defs = key_orders();
+        defs.extend(
+            key_orders()
+                .into_iter()
+                .map(|d| IndexDef::new(d.table, d.key_cols, vec![0])),
+        );
+        assert_eq!(defs.len(), 16);
+        let expected: Vec<Vec<u32>> = defs.iter().map(|d| fresh_order(&cat, d)).collect();
+        std::thread::scope(|scope| {
+            for t in 0..3 {
+                let (mut fork, defs, expected) = (cat.fork_empty(), &defs, &expected);
+                scope.spawn(move || {
+                    // Odd strides are permutations of the 16 defs.
+                    for i in (0..defs.len()).map(|i| (i * (2 * t + 1) + t) % defs.len()) {
+                        let meta = fork.create_index(defs[i].clone()).unwrap();
+                        assert_eq!(fork.index(meta.id).unwrap().ordered_rows(), expected[i]);
+                    }
+                });
+            }
+        });
+        let rows = |d: &IndexDef| cat.table(d.table).rows() as u64;
+        let bytes = key_orders().iter().map(|d| 4 * rows(d)).sum();
+        assert_eq!(
+            cat.base().sort_order_footprint(),
+            (key_orders().len(), bytes)
+        );
     }
 }

@@ -6,6 +6,13 @@
 //! key column, exactly the access pattern the planner's `IndexSeek` uses.
 //! `include_cols` model covering indexes: columns carried in the leaves so
 //! qualifying queries never touch the heap.
+//!
+//! The sorted permutation is the only expensive part of an index and a pure
+//! function of `(table, key_cols)`, so it is held behind an `Arc`: every
+//! index over the same key tuple can share one allocation (the catalog
+//! memoizes it per [`BaseData`](crate::BaseData)).
+
+use std::sync::Arc;
 
 use dba_common::{IndexId, TableId};
 use serde::{Deserialize, Serialize};
@@ -84,8 +91,8 @@ fn index_bytes(table: &Table, def: &IndexDef) -> u64 {
 pub struct Index {
     id: IndexId,
     def: IndexDef,
-    /// Row ids of the table, ordered by the key tuple.
-    perm: Vec<u32>,
+    /// Row ids of the table, ordered by the key tuple (ties by row id).
+    perm: Arc<[u32]>,
     size_bytes: u64,
     rows: usize,
 }
@@ -94,11 +101,14 @@ impl Index {
     /// Build the index by sorting the table's row ids on the key tuple.
     pub fn build(id: IndexId, def: IndexDef, table: &Table) -> Self {
         assert_eq!(def.table, table.id(), "index/table mismatch");
-        let keys: Vec<&[i64]> = def
-            .key_cols
-            .iter()
-            .map(|&c| table.column(c).data())
-            .collect();
+        let perm = Index::sort_rows(table, &def.key_cols);
+        Index::with_order(id, def, table, perm)
+    }
+
+    /// The table's row ids sorted by `key_cols`, ties broken by row id —
+    /// the one sort behind every index, total and therefore unique.
+    pub(crate) fn sort_rows(table: &Table, key_cols: &[u16]) -> Arc<[u32]> {
+        let keys: Vec<&[i64]> = key_cols.iter().map(|&c| table.column(c).data()).collect();
         let mut perm: Vec<u32> = (0..table.rows() as u32).collect();
         perm.sort_unstable_by(|&a, &b| {
             for k in &keys {
@@ -109,6 +119,14 @@ impl Index {
             }
             a.cmp(&b)
         });
+        perm.into()
+    }
+
+    /// An index over `perm`, which must be [`Index::sort_rows`] of the
+    /// same table and key columns.
+    pub(crate) fn with_order(id: IndexId, def: IndexDef, table: &Table, perm: Arc<[u32]>) -> Self {
+        debug_assert_eq!(def.table, table.id(), "index/table mismatch");
+        debug_assert_eq!(perm.len(), table.rows(), "order of another table");
         let size_bytes = index_bytes(table, &def);
         Index {
             id,
@@ -147,6 +165,12 @@ impl Index {
     /// Row ids in key order.
     #[inline]
     pub fn ordered_rows(&self) -> &[u32] {
+        &self.perm
+    }
+
+    /// The shared allocation behind [`Self::ordered_rows`].
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> &Arc<[u32]> {
         &self.perm
     }
 

@@ -136,6 +136,64 @@ fn full_stack_determinism() {
     assert_eq!(run(), run());
 }
 
+/// Sort orders are memoized in the shared base, so a guarded run on a base
+/// whose memo is already warm skips the sorts a cold run pays — including
+/// the re-sorts of indexes the guard vetoes and the tuner proposes again.
+/// Memo warmth must never reach a result: a fresh base and two
+/// back-to-back runs on one shared base give bit-identical per-window
+/// totals.
+#[test]
+fn warm_sort_order_memo_never_moves_results() {
+    use dba_bandits::session::{ArrivalProcess, StreamConfig, StreamingSession};
+    let bench = dba_bandits::workloads::tpch::tpch(0.05);
+    let run = |base: &Catalog| {
+        let session = SessionBuilder::new()
+            .benchmark(bench.clone())
+            .shared_data(base)
+            .workload(WorkloadKind::Shifting {
+                groups: 2,
+                rounds_per_group: 1,
+            })
+            .tuner(TunerKind::Mab)
+            .mab_config(MabConfig {
+                streaming_fast_path: true,
+                ..MabConfig::default()
+            })
+            .safeguard(SafetyConfig::default())
+            .seed(11)
+            .build()
+            .unwrap();
+        let config = StreamConfig::new(ArrivalProcess::paper_bursty(), 0.2);
+        let result = StreamingSession::new(session, config).run().unwrap();
+        let vetoes = result.run.safety.map(|s| s.vetoes);
+        let totals: Vec<u64> = result
+            .windows
+            .iter()
+            .map(|w| w.record.total().secs().to_bits())
+            .collect();
+        (totals, vetoes)
+    };
+    let fresh = run(&bench.build_catalog(11).unwrap());
+    assert!(
+        fresh.1 > Some(0),
+        "the guard vetoes, so the tuner re-proposes"
+    );
+
+    let shared = bench.build_catalog(11).unwrap();
+    let cold = run(&shared);
+    let (orders, bytes) = shared.base().sort_order_footprint();
+    assert!(orders > 0, "the guarded run builds indexes");
+    let warm = run(&shared);
+    assert_eq!(
+        shared.base().sort_order_footprint(),
+        (orders, bytes),
+        "the second run only hits the memo"
+    );
+
+    assert_eq!(cold, fresh);
+    assert_eq!(warm, fresh);
+}
+
 /// The observer sees exactly the rounds the result reports, in order,
 /// with consistent accounting.
 #[test]
