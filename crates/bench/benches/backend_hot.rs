@@ -1,12 +1,14 @@
-//! Criterion benchmarks for the measured backend's hot paths: index seeks
-//! and vectorized batch heap scans. These are the operators the `Measured`
-//! backend times on the wall-clock, so their own overheads bound how small
-//! a workload the calibration fit can resolve.
+//! Criterion benchmarks for the measured backend's hot paths: index seeks,
+//! vectorized batch heap scans and hash joins. These are the operators the
+//! `Measured` backend times on the wall-clock, so their own overheads bound
+//! how small a workload the calibration fit can resolve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use dba_common::{ColumnId, QueryId, TableId, TemplateId};
-use dba_engine::{CostModel, Predicate, Query};
+use dba_common::{ColumnId, QueryId, SimSeconds, TableId, TemplateId};
+use dba_engine::{
+    AccessMethod, CostModel, JoinAlgo, JoinPred, JoinStep, Plan, Predicate, Query, TableAccess,
+};
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
@@ -110,9 +112,97 @@ fn bench_measured_seek(c: &mut Criterion) {
     });
 }
 
+const DIM_ROWS: usize = 2_000;
+
+/// A star pair: `dim` (2k rows) and `fact` (200k rows) whose `f_dim` is a
+/// uniform foreign key into `dim`.
+fn join_catalog() -> Catalog {
+    let dim = TableSchema::new(
+        "dim",
+        vec![
+            ColumnSpec::new("d_key", ColumnType::Int, Distribution::Sequential),
+            ColumnSpec::new(
+                "d_attr",
+                ColumnType::Int,
+                Distribution::Uniform { lo: 0, hi: 99 },
+            ),
+        ],
+    );
+    let fact = TableSchema::new(
+        "fact",
+        vec![
+            ColumnSpec::new("f_key", ColumnType::Int, Distribution::Sequential),
+            ColumnSpec::new(
+                "f_dim",
+                ColumnType::Int,
+                Distribution::FkUniform {
+                    parent_rows: DIM_ROWS as u64,
+                },
+            ),
+            ColumnSpec::new(
+                "f_val",
+                ColumnType::Int,
+                Distribution::Uniform { lo: 0, hi: 999 },
+            ),
+        ],
+    );
+    Catalog::new(vec![
+        TableBuilder::new(dim, DIM_ROWS).build(TableId(0), 5),
+        TableBuilder::new(fact, ROWS).build(TableId(1), 5),
+    ])
+}
+
+/// A hash-join plan over heap scans: `outer` drives, `inner` is joined in.
+fn hash_join_plan(outer: TableId, inner: TableId, join: JoinPred) -> Plan {
+    let scan = |table| TableAccess {
+        table,
+        method: AccessMethod::FullScan,
+        est_rows: 0.0,
+    };
+    Plan {
+        driver: scan(outer),
+        joins: vec![JoinStep {
+            access: scan(inner),
+            algo: JoinAlgo::Hash,
+            join,
+            est_rows_out: 0.0,
+        }],
+        aggregated: true,
+        est_cost: SimSeconds::ZERO,
+    }
+}
+
+/// Measured hash join of a 1%-selective dim scan (~20 rows) with a full
+/// 200k-row fact scan, in both join orders: `dim_outer` has the small
+/// input outside and the fact scan as the inner access, `fact_outer` the
+/// reverse.
+fn bench_hash_join(c: &mut Criterion) {
+    let catalog = join_catalog();
+    let (dim, fact) = (TableId(0), TableId(1));
+    let join = JoinPred::new(ColumnId::new(dim, 0), ColumnId::new(fact, 1));
+    let q = Query {
+        id: QueryId(0),
+        template: TemplateId(0),
+        tables: vec![dim, fact],
+        predicates: vec![Predicate::eq(ColumnId::new(dim, 1), 7)],
+        joins: vec![join],
+        payload: vec![ColumnId::new(fact, 2)],
+        aggregated: true,
+    };
+    let mut backend = dba_backend::measured(CostModel::unit_scale());
+    for (name, plan) in [
+        ("hash_join_dim_outer_200k", hash_join_plan(dim, fact, join)),
+        ("hash_join_fact_outer_200k", hash_join_plan(fact, dim, join)),
+    ] {
+        let rows = backend.execute(&catalog, &q, &plan).result_rows;
+        assert!(rows > 0, "{name} must join some rows");
+        c.bench_function(name, |b| b.iter(|| backend.execute(&catalog, &q, &plan)));
+    }
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_scan, bench_measured_seek
+    targets = bench_batch_scan, bench_measured_seek, bench_hash_join
 );
 criterion_main!(benches);

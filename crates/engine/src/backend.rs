@@ -114,9 +114,12 @@ pub struct OpSample {
     pub rows: u64,
     /// Index root-to-leaf descents performed.
     pub descents: u64,
-    /// Hash-build input rows.
+    /// Hash join: the plan's inner (build) input rows, as the cost model
+    /// prices them. The executor physically builds its table on the
+    /// smaller of the two inputs, which may be the outer one.
     pub build_rows: u64,
-    /// Hash-probe input rows.
+    /// Hash join: the plan's outer (probe) tuples, as the cost model prices
+    /// them; physically probed only when they are the larger input.
     pub probe_rows: u64,
     /// Rows emitted.
     pub out_rows: u64,

@@ -10,6 +10,18 @@
 //! the paper's reward shaping consumes, plus each operator's physical work
 //! counters ([`OpSample`]).
 //!
+//! Joins are left-deep. Each step yields its matches as one outer-major
+//! pair list, tuples in order and each tuple's inner rows in inner-access
+//! order, and the intermediate gathers every column through it once. A
+//! hash join builds one flat, open-addressed table (multiplicative hash,
+//! linear probing, each key's positions stored contiguously) on the
+//! smaller input. With no more inner rows than outer tuples it builds on
+//! the inner rows and probes with the tuples. Otherwise it builds on the
+//! tuples' join keys, streams the inner rows through, and stable-sorts the
+//! pairs back to outer-major, so the output is the same for either side.
+//! The cost model prices the plan's inner side as the build and its outer
+//! side as the probe, whichever side the table is physically built on.
+//!
 //! Only how time is attributed to an operator varies:
 //!
 //! - **Priced** ([`Executor::new`], the `Simulated` backend): the
@@ -24,8 +36,6 @@
 //!
 //! Both attributions run the same operator code, so their logical results
 //! agree by construction.
-
-use std::collections::HashMap;
 
 use dba_common::{IndexId, QueryId, SimSeconds, TableId};
 use dba_storage::{Catalog, Column, Index, Table};
@@ -289,32 +299,242 @@ impl Intermediate {
         self.tables.iter().position(|&t| t == table)
     }
 
-    /// Join `table` in: tuple `k` pairs with every inner row that `inner`
-    /// yields for tuple `k`'s value of `outer`, which lives on the already
-    /// joined table at `outer_pos`.
-    fn join<I: IntoIterator<Item = u32>>(
-        self,
-        table: TableId,
-        outer: &Column,
-        outer_pos: usize,
-        mut inner: impl FnMut(i64) -> I,
-    ) -> Intermediate {
-        let width = self.columns.len();
-        let mut columns: Vec<Vec<u32>> = (0..width + 1).map(|_| Vec::new()).collect();
-        for k in 0..self.len {
-            for ir in inner(outer.value(self.columns[outer_pos][k] as usize)) {
-                for (ci, col) in self.columns.iter().enumerate() {
-                    columns[ci].push(col[k]);
-                }
-                columns[width].push(ir);
-            }
-        }
+    /// The join-key codes of every tuple: `outer`'s value at the row the
+    /// tuple holds on the table at `pos`.
+    fn keys(&self, pos: usize, outer: &Column) -> Vec<i64> {
+        assert!(
+            u32::try_from(self.len).is_ok(),
+            "join pairs address tuples by u32"
+        );
+        let mut keys = Vec::new();
+        outer.gather_into(&self.columns[pos], &mut keys);
+        keys
+    }
+
+    /// Join `table` in, column-wise: output tuple `i` is tuple
+    /// `pairs.outer[i]` extended with inner row `pairs.inner[i]`. Each
+    /// existing column is gathered through the pair list once.
+    fn join(self, table: TableId, pairs: JoinPairs) -> Intermediate {
+        let mut columns: Vec<Vec<u32>> = self
+            .columns
+            .iter()
+            .map(|col| pairs.outer.iter().map(|&k| col[k as usize]).collect())
+            .collect();
+        columns.push(pairs.inner);
         let mut tables = self.tables;
         tables.push(table);
         Intermediate {
             tables,
-            len: columns[0].len(),
+            len: pairs.outer.len(),
             columns,
+        }
+    }
+}
+
+/// The matches of one join step, outer-major: pair `i` joins outer tuple
+/// `outer[i]` with inner row `inner[i]`. Tuples ascend, and one tuple's
+/// inner rows keep the inner access's order.
+#[derive(Debug, Default, PartialEq)]
+struct JoinPairs {
+    outer: Vec<u32>,
+    inner: Vec<u32>,
+}
+
+impl JoinPairs {
+    #[inline]
+    fn push(&mut self, outer: usize, inner: u32) {
+        self.outer.push(outer as u32);
+        self.inner.push(inner);
+    }
+
+    /// Stable counting sort by outer tuple (`tuples` of them): pairs of one
+    /// tuple keep their relative order.
+    fn sorted_by_outer(self, tuples: usize) -> JoinPairs {
+        let mut starts = vec![0u32; tuples + 1];
+        for &k in &self.outer {
+            starts[k as usize + 1] += 1;
+        }
+        for k in 0..tuples {
+            starts[k + 1] += starts[k];
+        }
+        let n = self.outer.len();
+        let mut sorted = JoinPairs {
+            outer: vec![0; n],
+            inner: vec![0; n],
+        };
+        for (&k, &r) in self.outer.iter().zip(&self.inner) {
+            let at = &mut starts[k as usize];
+            sorted.outer[*at as usize] = k;
+            sorted.inner[*at as usize] = r;
+            *at += 1;
+        }
+        sorted
+    }
+}
+
+/// Which input a hash join builds its table on; the other is probed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BuildSide {
+    /// The inner access's rows: probing with the tuples in order emits
+    /// outer-major pairs directly.
+    Inner,
+    /// The outer tuples' join keys: the inner rows stream through the
+    /// table, and the pairs are then sorted back to outer-major.
+    Outer,
+}
+
+impl BuildSide {
+    /// Build on the smaller input, the inner one on a tie.
+    fn smaller(outer_tuples: usize, inner_rows: usize) -> BuildSide {
+        if inner_rows <= outer_tuples {
+            BuildSide::Inner
+        } else {
+            BuildSide::Outer
+        }
+    }
+}
+
+/// Hash-join `outer_keys` (one per outer tuple) with `inner_rows`, whose
+/// key codes are `inner_vals[row]`, building on `side`. The pairs are the
+/// same for either side: outer-major, inner rows in `inner_rows` order.
+fn hash_join_pairs(
+    outer_keys: &[i64],
+    inner_rows: &[u32],
+    inner_vals: &[i64],
+    side: BuildSide,
+) -> JoinPairs {
+    let mut pairs = JoinPairs::default();
+    match side {
+        BuildSide::Inner => {
+            let table = JoinTable::build(inner_rows.iter().map(|&r| inner_vals[r as usize]));
+            for (k, &v) in outer_keys.iter().enumerate() {
+                for &at in table.get(v) {
+                    pairs.push(k, inner_rows[at as usize]);
+                }
+            }
+            pairs
+        }
+        BuildSide::Outer => {
+            let table = JoinTable::build(outer_keys.iter().copied());
+            for &r in inner_rows {
+                for &k in table.get(inner_vals[r as usize]) {
+                    pairs.push(k as usize, r);
+                }
+            }
+            pairs.sorted_by_outer(outer_keys.len())
+        }
+    }
+}
+
+/// A flat, open-addressed hash table from `i64` join keys to the positions
+/// of the build input holding them. Slots are found by a multiplicative
+/// hash and linear probing; each distinct key owns one group, and a
+/// group's positions lie contiguously in `positions`, ascending. Keys are
+/// the catalog's generated codes, never crafted input, so a fixed
+/// multiplier serves in place of a keyed hasher.
+struct JoinTable {
+    /// `64 - log2(slot count)`: a key's home slot is its hash's top bits.
+    shift: u32,
+    /// Per slot: 0 if empty, else 1 + the group of the key stored there.
+    slots: Vec<u32>,
+    /// Group `g`'s key.
+    keys: Vec<i64>,
+    /// Group `g`'s positions are `positions[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl JoinTable {
+    /// Slot count of an empty table.
+    const MIN_SLOTS: usize = 16;
+    /// The table doubles whenever it would hold fewer slots per key than
+    /// this, so a probe for an absent key (most probes, when the larger input
+    /// streams through) nearly always stops at its home slot.
+    const SLOTS_PER_KEY: usize = 8;
+
+    /// The home slot of `key` in a table of `64 - shift` address bits.
+    #[inline]
+    fn home(key: i64, shift: u32) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// Build over `keys`, the build input in order: one counting pass
+    /// (assigning each key its group), one prefix sum, one scatter.
+    fn build(keys: impl ExactSizeIterator<Item = i64>) -> JoinTable {
+        let mut table = JoinTable {
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            slots: vec![0; Self::MIN_SLOTS],
+            keys: Vec::new(),
+            starts: vec![0],
+            positions: Vec::new(),
+        };
+        let mut group_of = Vec::with_capacity(keys.len());
+        for key in keys {
+            let g = table.group_or_insert(key);
+            table.starts[g + 1] += 1;
+            group_of.push(g as u32);
+        }
+        for g in 1..table.starts.len() {
+            table.starts[g] += table.starts[g - 1];
+        }
+        let mut next = table.starts.clone();
+        table.positions = vec![0; group_of.len()];
+        for (at, &g) in group_of.iter().enumerate() {
+            let slot = &mut next[g as usize];
+            table.positions[*slot as usize] = at as u32;
+            *slot += 1;
+        }
+        table
+    }
+
+    /// Where `key` is: `Ok(group)` if present, else `Err(slot)`, the empty
+    /// slot that ends its probe sequence.
+    #[inline]
+    fn find(&self, key: i64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = Self::home(key, self.shift);
+        loop {
+            match self.slots[s] {
+                0 => return Err(s),
+                g if self.keys[g as usize - 1] == key => return Ok(g as usize - 1),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// The group of `key`, inserting a new empty one if absent. Counts
+    /// accumulate in `starts[g + 1]` until the build's prefix sum.
+    fn group_or_insert(&mut self, key: i64) -> usize {
+        let s = match self.find(key) {
+            Ok(g) => return g,
+            Err(s) => s,
+        };
+        let g = self.keys.len();
+        self.slots[s] = g as u32 + 1;
+        self.keys.push(key);
+        self.starts.push(0);
+        if Self::SLOTS_PER_KEY * (g + 1) > self.slots.len() {
+            self.grow();
+        }
+        g
+    }
+
+    /// Double the slot count and re-place every key.
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        self.shift -= 1;
+        for g in 0..self.keys.len() {
+            let s = self.find(self.keys[g]).expect_err("keys are distinct");
+            self.slots[s] = g as u32 + 1;
+        }
+    }
+
+    /// The build positions holding `key`, ascending; empty if none.
+    #[inline]
+    fn get(&self, key: i64) -> &[u32] {
+        match self.find(key) {
+            Ok(g) => &self.positions[self.starts[g] as usize..self.starts[g + 1] as usize],
+            Err(_) => &[],
         }
     }
 }
@@ -360,19 +580,17 @@ impl<T: Timing> Pipeline<'_, T> {
                         .side_on(step.access.table)
                         .expect("join step must reference the new table");
 
-                    // Build on the inner side, probe with the outer.
                     let t0 = self.timing.start();
-                    let inner_vals = inner_table.column(inner_col.ordinal).data();
-                    let mut build: HashMap<i64, Vec<u32>> =
-                        HashMap::with_capacity(inner_rows.len());
-                    for &r in &inner_rows {
-                        build.entry(inner_vals[r as usize]).or_default().push(r);
-                    }
                     let build_rows = inner_rows.len() as u64;
                     let probe_rows = inter.len as u64;
-                    inter = inter.join(step.access.table, outer, outer_pos, |v| {
-                        build.get(&v).map_or(&[][..], Vec::as_slice).iter().copied()
-                    });
+                    let side = BuildSide::smaller(inter.len, inner_rows.len());
+                    let pairs = hash_join_pairs(
+                        &inter.keys(outer_pos, outer),
+                        &inner_rows,
+                        inner_table.column(inner_col.ordinal).data(),
+                        side,
+                    );
+                    inter = inter.join(step.access.table, pairs);
                     let out_rows = inter.len as u64;
                     join_time += self.timing.charge(
                         t0,
@@ -402,16 +620,18 @@ impl<T: Timing> Pipeline<'_, T> {
                     let probes = inter.len as u64;
                     let mut matched = 0u64;
                     let mut pages = 0u64;
-                    inter = inter.join(step.access.table, outer, outer_pos, |v| {
+                    let mut pairs = JoinPairs::default();
+                    for (k, v) in inter.keys(outer_pos, outer).into_iter().enumerate() {
                         let (s, e) = index.probe(inner_table, &[v], None);
                         matched += (e - s) as u64;
                         pages += probe_leaf_pages(index, (e - s) as u64);
-                        let preds = &inner_preds;
-                        index.ordered_rows()[s..e]
-                            .iter()
-                            .copied()
-                            .filter(move |&r| row_matches(inner_table, r, preds))
-                    });
+                        for &r in &index.ordered_rows()[s..e] {
+                            if row_matches(inner_table, r, &inner_preds) {
+                                pairs.push(k, r);
+                            }
+                        }
+                    }
+                    inter = inter.join(step.access.table, pairs);
                     let rows_out = inter.len as u64;
                     let heap_fetches = if covering { 0 } else { matched };
                     let time = self.timing.charge(
@@ -644,6 +864,7 @@ mod tests {
     use crate::query::JoinPred;
     use dba_common::{ColumnId, TemplateId};
     use dba_storage::{ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema};
+    use std::collections::BTreeMap;
 
     /// Two-table catalog: `dim` (200 rows) and `fact` (5000 rows) with
     /// fact.f_dim a uniform FK into dim.
@@ -1142,5 +1363,160 @@ mod tests {
         assert!((sampled / priced_total - 1.0).abs() < 1e-9);
         assert!(samples.iter().all(|s| s.measured_s > 0.0));
         assert_eq!((dual.kind(), dual.name()), (BackendKind::Simulated, "dual"));
+    }
+
+    /// The join by definition: a `BTreeMap` from key to inner rows in
+    /// access order, read once per outer tuple in order.
+    fn reference_pairs(outer_keys: &[i64], inner_rows: &[u32], inner_vals: &[i64]) -> JoinPairs {
+        let mut by_key: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+        for &r in inner_rows {
+            by_key.entry(inner_vals[r as usize]).or_default().push(r);
+        }
+        let mut pairs = JoinPairs::default();
+        for (k, v) in outer_keys.iter().enumerate() {
+            for &r in by_key.get(v).into_iter().flatten() {
+                pairs.push(k, r);
+            }
+        }
+        pairs
+    }
+
+    /// Join an intermediate whose tuples carry `outer_keys` (through a
+    /// reversed outer column) with `inner_rows`, building on each side, and
+    /// check both against the reference: same pairs, and the same
+    /// intermediate tables, columns and order.
+    fn assert_build_sides_agree(outer_keys: &[i64], inner_rows: &[u32], inner_vals: &[i64]) {
+        let n = outer_keys.len();
+        // Tuple `k` holds outer row `n - 1 - k`, so the keys are gathered.
+        let outer = Column::new(
+            "outer",
+            ColumnType::Int,
+            outer_keys.iter().rev().copied().collect(),
+        );
+        let intermediate = || Intermediate {
+            tables: vec![TableId(0), TableId(1)],
+            columns: vec![
+                (0..n as u32).map(|k| 7 * k + 1).collect(),
+                (0..n as u32).rev().collect(),
+            ],
+            len: n,
+        };
+        let want = reference_pairs(outer_keys, inner_rows, inner_vals);
+        let mut joined = Vec::new();
+        for side in [BuildSide::Inner, BuildSide::Outer] {
+            let inter = intermediate();
+            assert_eq!(inter.keys(1, &outer), outer_keys);
+            let pairs = hash_join_pairs(&inter.keys(1, &outer), inner_rows, inner_vals, side);
+            assert_eq!(pairs, want, "{side:?} build");
+            let out = inter.join(TableId(2), pairs);
+            joined.push((out.tables, out.columns, out.len));
+        }
+        assert_eq!(joined[0], joined[1], "build sides disagree");
+        let (tables, columns, len) = &joined[0];
+        assert_eq!(tables, &[TableId(0), TableId(1), TableId(2)]);
+        assert_eq!(*len, want.outer.len());
+        for (i, (&k, &r)) in want.outer.iter().zip(&want.inner).enumerate() {
+            assert_eq!(columns[0][i], 7 * k + 1);
+            assert_eq!(columns[1][i], n as u32 - 1 - k);
+            assert_eq!(columns[2][i], r);
+        }
+    }
+
+    /// A deterministic stream of pseudo-random `u64`s (SplitMix64).
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn build_sides_agree_on_duplicate_keys() {
+        let mut rng = splitmix(11);
+        // Few distinct keys on both sides: every tuple meets many inner
+        // rows, and the inner access order is shuffled, not ascending.
+        let inner_vals: Vec<i64> = (0..600).map(|_| (rng() % 6) as i64).collect();
+        let mut inner_rows: Vec<u32> = (0..600).filter(|r| r % 3 != 0).collect();
+        for i in (1..inner_rows.len()).rev() {
+            inner_rows.swap(i, (rng() % (i as u64 + 1)) as usize);
+        }
+        let outer_keys: Vec<i64> = (0..40).map(|_| (rng() % 8) as i64).collect();
+        assert_build_sides_agree(&outer_keys, &inner_rows, &inner_vals);
+        // The reverse shape: more outer tuples than inner rows.
+        assert_build_sides_agree(&inner_vals[..300], &inner_rows[..25], &inner_vals);
+    }
+
+    #[test]
+    fn build_sides_agree_on_empty_inputs() {
+        let inner_vals = [4, 4, 9];
+        assert_build_sides_agree(&[], &[2, 0, 1], &inner_vals);
+        assert_build_sides_agree(&[4, 9, 4], &[], &inner_vals);
+        assert_build_sides_agree(&[], &[], &inner_vals);
+        // No key in common.
+        assert_build_sides_agree(&[1, 2, 3], &[0, 1, 2], &inner_vals);
+    }
+
+    #[test]
+    fn build_sides_agree_on_extreme_and_negative_keys() {
+        let inner_vals = [
+            i64::MIN,
+            i64::MAX,
+            -1,
+            0,
+            i64::MIN,
+            -7,
+            i64::MAX,
+            1,
+            i64::MIN + 1,
+        ];
+        let inner_rows = [8, 6, 4, 2, 0, 1, 3, 5, 7];
+        let outer_keys = [i64::MAX, -1, i64::MIN, 7, i64::MIN, -7, 0, i64::MAX - 1];
+        assert_build_sides_agree(&outer_keys, &inner_rows, &inner_vals);
+        assert_build_sides_agree(&outer_keys, &inner_rows[..3], &inner_vals);
+    }
+
+    #[test]
+    fn build_sides_agree_on_colliding_keys() {
+        // Keys sharing their hash's top 16 bits share a home slot in every
+        // table of up to 2^16 slots, so each probe walks one long cluster.
+        let home = JoinTable::home(0, 48);
+        let colliding: Vec<i64> = (1..4_000_000i64)
+            .flat_map(|k| [k, -k])
+            .filter(|&k| JoinTable::home(k, 48) == home)
+            .take(12)
+            .collect();
+        assert_eq!(colliding.len(), 12);
+        let table = JoinTable::build(colliding[..6].iter().copied());
+        let homes: Vec<usize> = colliding
+            .iter()
+            .map(|&k| JoinTable::home(k, table.shift))
+            .collect();
+        assert!(homes.iter().all(|&h| h == homes[0]), "keys must collide");
+        // Build on six of them (twice each); probe with all twelve, so
+        // absent keys walk the cluster too.
+        let inner_vals: Vec<i64> = colliding[..6]
+            .iter()
+            .chain(&colliding[..6])
+            .copied()
+            .collect();
+        let inner_rows: Vec<u32> = (0..12).rev().collect();
+        assert_build_sides_agree(&colliding, &inner_rows, &inner_vals);
+        assert_build_sides_agree(&colliding[3..9], &inner_rows, &inner_vals);
+    }
+
+    #[test]
+    fn join_table_grows_and_keeps_every_key() {
+        let keys: Vec<i64> = (0..5000).map(|i| (i % 1700) * 1_000_003 - 800).collect();
+        let table = JoinTable::build(keys.iter().copied());
+        assert!(table.slots.len() >= JoinTable::SLOTS_PER_KEY * 1700);
+        for (at, &k) in keys.iter().enumerate().take(1700) {
+            let want: Vec<u32> = (at as u32..5000).step_by(1700).collect();
+            assert_eq!(table.get(k), want.as_slice());
+        }
+        assert!(table.get(-801).is_empty());
     }
 }

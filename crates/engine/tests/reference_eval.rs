@@ -11,6 +11,8 @@
 //! table, each join order, every access method, both join algorithms).
 //! For each plan, `result_rows` and every access's `rows_out` must equal
 //! the reference, under both Priced and scripted-clock Clocked attribution.
+//! The sweep must reach hash joins that build on either side: inner
+//! accesses with more rows than the outer tuples, and with no more.
 
 use dba_common::{ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_engine::{
@@ -431,6 +433,10 @@ fn pipeline_matches_naive_reference_under_both_attributions() {
     let priced = Executor::new(CostModel::paper_scale());
     let mut clocked = Executor::measured(CostModel::paper_scale(), scripted());
     let (mut checked, mut inl, mut orders, mut empty) = (0usize, 0usize, 0usize, 0usize);
+    // Hash steps whose inner access has more rows than the outer tuples
+    // (built on the outer side), and those where it has no more (built on
+    // the inner side).
+    let (mut build_outer, mut build_inner) = (0usize, 0usize);
     for config in 0..8 {
         let cat = gen_config(&mut rng, &base);
         for n in 0..12 {
@@ -452,11 +458,13 @@ fn pipeline_matches_naive_reference_under_both_attributions() {
                     let got = ExecutionBackend::execute(&mut clocked, &cat, &q, plan);
                     check(&format!("{label} (clocked)"), &got, rows, &want);
                     checked += 1;
-                    inl += plan
-                        .joins
-                        .iter()
-                        .filter(|s| matches!(s.algo, JoinAlgo::IndexNestedLoop))
-                        .count();
+                    for (i, step) in plan.joins.iter().enumerate() {
+                        match step.algo {
+                            JoinAlgo::IndexNestedLoop => inl += 1,
+                            JoinAlgo::Hash if want[i + 1].1 > prefix[i] => build_outer += 1,
+                            JoinAlgo::Hash => build_inner += 1,
+                        }
+                    }
                 }
             }
         }
@@ -464,6 +472,8 @@ fn pipeline_matches_naive_reference_under_both_attributions() {
     // The sweep must actually reach the interesting shapes.
     assert!(checked > 500, "only {checked} plans checked");
     assert!(inl > 50, "only {inl} index-nested-loop steps");
+    assert!(build_outer > 0, "no hash step builds on the outer side");
+    assert!(build_inner > 0, "no hash step builds on the inner side");
     assert!(
         empty < orders / 2,
         "{empty} of {orders} orders return nothing"
