@@ -291,6 +291,139 @@ fn bench_whatif_service(c: &mut Criterion) {
     });
 }
 
+/// The guard's close at ad-hoc scale: 32 definitions over a fact table
+/// and four dimensions, and a 96-query round over varied table subsets
+/// (single tables, two- and three-way joins). One round is the two
+/// shadow passes, the full-config pass and a leave-one-out pass per used
+/// definition, on a warm memo — the steady state of `adhoc_tpcds_drift`,
+/// where most costings hit and per-pass set-up is the cost that remains.
+fn bench_whatif_guard_round_wide(c: &mut Criterion) {
+    let uni = |hi| Distribution::Uniform { lo: 0, hi };
+    let dim_rows = [2_000u64, 1_000, 500, 200];
+    let mut tables = vec![TableBuilder::new(
+        TableSchema::new(
+            "fact",
+            (0..4)
+                .map(|d| {
+                    ColumnSpec::new(
+                        format!("f_d{d}"),
+                        ColumnType::Int,
+                        Distribution::FkUniform {
+                            parent_rows: dim_rows[d],
+                        },
+                    )
+                })
+                .chain(
+                    (0..4).map(|m| ColumnSpec::new(format!("f_m{m}"), ColumnType::Int, uni(9_999))),
+                )
+                .collect(),
+        ),
+        100_000,
+    )
+    .build(TableId(0), 5)];
+    for (d, &rows) in dim_rows.iter().enumerate() {
+        let schema = TableSchema::new(
+            format!("dim{d}"),
+            vec![
+                ColumnSpec::new("key", ColumnType::Int, Distribution::Sequential),
+                ColumnSpec::new("a", ColumnType::Int, uni(99)),
+                ColumnSpec::new("b", ColumnType::Int, uni(9)),
+            ],
+        );
+        tables.push(TableBuilder::new(schema, rows as usize).build(TableId(d as u32 + 1), 5));
+    }
+    let catalog = Catalog::new(tables);
+    let stats = StatsCatalog::build(&catalog);
+    let cost = CostModel::unit_scale();
+
+    // 12 on the fact table (join keys and measures, with and without
+    // includes), 5 on each dimension.
+    let mut defs: Vec<IndexDef> = (0..4u16)
+        .flat_map(|c| {
+            [
+                IndexDef::new(TableId(0), vec![c], vec![]),
+                IndexDef::new(TableId(0), vec![4 + c], vec![c]),
+                IndexDef::new(TableId(0), vec![4 + c, c], vec![]),
+            ]
+        })
+        .collect();
+    for d in 1..=4u32 {
+        defs.extend([
+            IndexDef::new(TableId(d), vec![0], vec![]),
+            IndexDef::new(TableId(d), vec![1], vec![]),
+            IndexDef::new(TableId(d), vec![1], vec![0]),
+            IndexDef::new(TableId(d), vec![2], vec![0]),
+            IndexDef::new(TableId(d), vec![1, 2], vec![]),
+        ]);
+    }
+    assert_eq!(defs.len(), 32);
+
+    let mut rng = rng_for(5, "whatif_guard_round_wide", 0);
+    let queries: Vec<Query> = (0..96u64)
+        .map(|i| {
+            let dims: Vec<u32> = match i % 4 {
+                0 => vec![],
+                1 => vec![1 + (i / 4 % 4) as u32],
+                _ => vec![1 + (i / 4 % 4) as u32, 1 + ((i / 4 + 1) % 4) as u32],
+            };
+            let m = ColumnId::new(TableId(0), 4 + (i % 4) as u16);
+            let lo = rng.gen_range(0..9_000i64);
+            let mut predicates = vec![Predicate::range(m, lo, lo + rng.gen_range(1..400i64))];
+            let mut tables = vec![TableId(0)];
+            let mut joins = Vec::new();
+            for &d in &dims {
+                tables.push(TableId(d));
+                predicates.push(Predicate::eq(
+                    ColumnId::new(TableId(d), 1),
+                    rng.gen_range(0..100i64),
+                ));
+                joins.push(dba_engine::JoinPred::new(
+                    ColumnId::new(TableId(d), 0),
+                    ColumnId::new(TableId(0), (d - 1) as u16),
+                ));
+            }
+            if i % 8 == 3 {
+                // A dimension on its own.
+                let d = TableId(1 + (i % 4) as u32);
+                tables = vec![d];
+                predicates = vec![Predicate::eq(ColumnId::new(d, 2), rng.gen_range(0..10i64))];
+                joins.clear();
+            }
+            Query {
+                id: QueryId(i),
+                template: TemplateId(i as u32),
+                payload: vec![ColumnId::new(tables[0], 0)],
+                tables,
+                predicates,
+                joins,
+                aggregated: i % 2 == 0,
+            }
+        })
+        .collect();
+
+    let guard_round = |svc: &mut WhatIfService| {
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &[], false);
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &defs, false);
+        let (_, usage) = svc.cost_workload(&catalog, &stats, &queries, &defs, false);
+        let loo: Vec<Vec<IndexDef>> = (0..defs.len())
+            .filter(|&skip| usage[skip] > 0)
+            .map(|skip| {
+                defs.iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != skip)
+                    .map(|(_, d)| d.clone())
+                    .collect()
+            })
+            .collect();
+        svc.marginals(&catalog, &stats, &queries, &loo, false)
+    };
+    c.bench_function("whatif_guard_round_wide", |b| {
+        let mut svc = WhatIfService::new(cost.clone());
+        guard_round(&mut svc); // warm the memo: every costing below hits
+        b.iter(|| guard_round(&mut svc))
+    });
+}
+
 /// Index builds over 200k rows. `cold` always sorts (`Index::build`
 /// directly); `memo_hit` is `Catalog::create_index` on a fresh fork of a
 /// base that has already sorted the key tuple — what re-proposing a
@@ -315,6 +448,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_c2ucb, bench_oracle, bench_executor, bench_optimizer, bench_whatif_service,
-        bench_index_build
+        bench_whatif_guard_round_wide, bench_index_build
 );
 criterion_main!(benches);

@@ -2,12 +2,13 @@
 //! memoizes hypothetical plans and prices whole batches of configurations
 //! in one pass.
 //!
-//! The per-call [`WhatIf`](crate::WhatIf) facade replans every (query,
-//! configuration) pair from scratch — fine for a one-shot advisor
-//! invocation, quadratic pain for anything that prices many overlapping
-//! configurations every round (a guardrail's leave-one-out rollback
-//! assessment is O(used-indexes × queries) fresh plans). This service is
-//! the shared subsystem behind all of them: it reuses the invalidation
+//! Anything that prices many overlapping configurations every round pays
+//! quadratically if each costing plans from scratch: a guardrail's
+//! leave-one-out rollback assessment alone is O(used-indexes × queries)
+//! costings. This service is the one implementation behind every what-if
+//! caller — the guardrail's shadow baselines and rollback assessment,
+//! PDTool's candidate scoring, and the one-shot [`WhatIf`](crate::WhatIf)
+//! facade, which wraps a private instance. It reuses the invalidation
 //! machinery the [`PlanCache`](crate::PlanCache) proved out, keyed on
 //!
 //! * the query **template** (parameterised-plan reuse, with the same
@@ -30,12 +31,19 @@
 //! through `include_materialised` are interned the same way and priced at
 //! their **live** (drift-grown) sizes, the same convention hypotheticals
 //! get, so incremental-benefit comparisons are apples-to-apples under
-//! drift (the old facade priced materialised candidates at creation-time
-//! sizes).
+//! drift.
+//!
+//! A configuration is **prepared once per pass**: interning, live sizing
+//! and the planner context cover every candidate on the tables the pass's
+//! queries touch, sorted by interned id. Each query then only filters the
+//! prepared ids down to its own tables to form its fingerprint. The
+//! planner sees a candidate only through its table or its id, and each
+//! table's candidates keep the interned-id order, so a batched pass plans
+//! and prices exactly like costing every query on its own.
 
 use std::collections::HashMap;
 
-use dba_common::{IndexId, SimSeconds, TemplateId};
+use dba_common::{IndexId, SimSeconds, TableId, TemplateId};
 use dba_engine::{CostModel, Plan, Query};
 use dba_storage::{Catalog, IndexDef};
 
@@ -83,7 +91,7 @@ impl WhatIfStats {
 /// What a cached what-if plan depended on for one table, at planning time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TableDep {
-    table: dba_common::TableId,
+    table: TableId,
     catalog_version: u64,
     stats_version: u64,
 }
@@ -125,18 +133,137 @@ pub struct ConfigCost {
     pub usage: Vec<u32>,
 }
 
-/// The long-lived what-if subsystem. One per tuning session, shared by
-/// everything that costs hypothetical configurations — the guardrail's
-/// shadow baselines and rollback assessment, PDTool's candidate scoring,
-/// and the [`WhatIf`](crate::WhatIf) facade.
+/// Synthetic planner id of interned definition `id`.
+#[inline]
+fn planner_id(id: u32) -> IndexId {
+    IndexId(HYPOTHETICAL_BASE + id as u64)
+}
+
+/// Interned id of a planner candidate or plan-used index, if it is one
+/// of ours.
+#[inline]
+fn interned_id(id: IndexId) -> Option<u32> {
+    (id.raw() >= HYPOTHETICAL_BASE).then(|| (id.raw() - HYPOTHETICAL_BASE) as u32)
+}
+
+/// Interned candidate definitions, numbered in first-seen order; the
+/// synthetic planner id of interned id `id` is `HYPOTHETICAL_BASE + id`.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    ids: HashMap<IndexDef, u32>,
+}
+
+impl Interner {
+    /// Intern `def`, returning its stable id.
+    fn intern(&mut self, def: &IndexDef) -> u32 {
+        if let Some(&id) = self.ids.get(def) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(def.clone(), id);
+        id
+    }
+
+    /// Prepare one configuration for costing queries over `tables`.
+    ///
+    /// Every hypothetical is interned (first occurrence wins for a
+    /// duplicated definition). Materialised indexes are interned only on
+    /// `tables`, in catalog order — the moment and order a per-query
+    /// costing would first meet them — so interned ids, and with them each
+    /// table's candidate order, do not depend on how costings are batched.
+    fn prepare<'a>(
+        &mut self,
+        catalog: &'a Catalog,
+        stats: &'a StatsCatalog,
+        cost: &'a CostModel,
+        tables: &[TableId],
+        hypothetical: &[IndexDef],
+        include_materialised: bool,
+    ) -> PreparedConfig<'a> {
+        let hypo_ids: Vec<u32> = hypothetical.iter().map(|d| self.intern(d)).collect();
+        let mut indexes: Vec<IndexCandidate> = Vec::new();
+        let mut add = |id: u32, def: &IndexDef, size_bytes: u64| {
+            if !indexes.iter().any(|c| c.id == planner_id(id)) {
+                indexes.push(IndexCandidate {
+                    id: planner_id(id),
+                    def: def.clone(),
+                    size_bytes,
+                });
+            }
+        };
+        for (def, &id) in hypothetical.iter().zip(&hypo_ids) {
+            if tables.contains(&def.table) {
+                add(id, def, catalog.estimated_live_bytes(def));
+            }
+        }
+        if include_materialised {
+            for ix in catalog.all_indexes() {
+                if tables.contains(&ix.def().table) {
+                    // Live (drift-grown) size — same convention as the
+                    // hypotheticals, so incremental-benefit comparisons
+                    // stay apples-to-apples under drift.
+                    add(
+                        self.intern(ix.def()),
+                        ix.def(),
+                        catalog.index_live_bytes(ix.id()),
+                    );
+                }
+            }
+        }
+        indexes.sort_unstable_by_key(|c| c.id);
+        PreparedConfig {
+            include_materialised,
+            hypo_ids,
+            ctx: PlannerContext {
+                catalog,
+                stats,
+                cost,
+                indexes,
+            },
+        }
+    }
+}
+
+/// One configuration, prepared once for a pass over a workload.
+struct PreparedConfig<'a> {
+    include_materialised: bool,
+    /// Interned id of each of the caller's hypothetical positions.
+    hypo_ids: Vec<u32>,
+    /// Planner context over every candidate on the pass's tables, sorted
+    /// by interned id.
+    ctx: PlannerContext<'a>,
+}
+
+impl PreparedConfig<'_> {
+    /// Memo key of `query` under this configuration: the prepared ids on
+    /// the query's own tables, still sorted.
+    fn key(&self, query: &Query) -> PlanKey {
+        PlanKey {
+            template: query.template,
+            include_materialised: self.include_materialised,
+            config: self
+                .ctx
+                .indexes
+                .iter()
+                .filter(|c| query.tables.contains(&c.def.table))
+                .filter_map(|c| interned_id(c.id))
+                .collect(),
+        }
+    }
+
+    /// Map `plan`'s used indexes back to positions in the caller's
+    /// hypothetical slice (materialised-only candidates map to none).
+    fn positions<'p>(&'p self, plan: &Plan) -> impl Iterator<Item = usize> + 'p {
+        plan.indexes_used()
+            .into_iter()
+            .filter_map(interned_id)
+            .filter_map(|id| self.hypo_ids.iter().position(|&h| h == id))
+    }
+}
+
+/// The plan memo with its hit/miss accounting.
 #[derive(Debug, Clone)]
-pub struct WhatIfService {
-    cost: CostModel,
-    /// Interned candidate definitions: `defs[id]` is the definition with
-    /// interned id `id`; synthetic planner ids are
-    /// `HYPOTHETICAL_BASE + id`.
-    defs: Vec<IndexDef>,
-    interned: HashMap<IndexDef, u32>,
+struct PlanMemo {
     plans: HashMap<PlanKey, CachedPlan>,
     /// Memo size that triggers the next stale-entry sweep (starts at
     /// [`MAX_CACHED_WHATIF_PLANS`], re-armed past the post-sweep live
@@ -149,131 +276,14 @@ pub struct WhatIfService {
     obs: dba_obs::Obs,
 }
 
-impl WhatIfService {
-    pub fn new(cost: CostModel) -> Self {
-        WhatIfService {
-            cost,
-            defs: Vec::new(),
-            interned: HashMap::new(),
-            plans: HashMap::new(),
-            sweep_watermark: MAX_CACHED_WHATIF_PLANS,
-            stats: WhatIfStats::default(),
-            obs: dba_obs::Obs::noop(),
-        }
-    }
-
-    /// Attach the session's observability handle. Counters emitted from
-    /// here on mirror [`WhatIfStats`] increments one-for-one.
-    pub fn set_obs(&mut self, obs: &dba_obs::Obs) {
-        self.obs = obs.clone();
-    }
-
-    /// The cost model every costing runs through.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Running hit/miss/invalidation totals.
-    pub fn stats(&self) -> WhatIfStats {
-        self.stats
-    }
-
-    /// Cached plans currently held.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Intern `def`, returning its stable id.
-    fn intern(&mut self, def: &IndexDef) -> u32 {
-        if let Some(&id) = self.interned.get(def) {
-            return id;
-        }
-        let id = self.defs.len() as u32;
-        self.defs.push(def.clone());
-        self.interned.insert(def.clone(), id);
-        id
-    }
-
-    /// Synthetic planner id of interned definition `id`.
-    #[inline]
-    fn planner_id(id: u32) -> IndexId {
-        IndexId(HYPOTHETICAL_BASE + id as u64)
-    }
-
-    /// Interned id of a plan-used index, if it is one of ours.
-    #[inline]
-    fn interned_id(id: IndexId) -> Option<u32> {
-        (id.raw() >= HYPOTHETICAL_BASE).then(|| (id.raw() - HYPOTHETICAL_BASE) as u32)
-    }
-
-    /// Cost one query under `hypothetical` definitions (plus, when
-    /// `include_materialised`, the catalog's real indexes — at their live
-    /// sizes). Served from the memo when the template was already planned
-    /// under the same candidate set on the query's tables and nothing
-    /// those tables depend on has moved; the cached plan is still recosted
-    /// under this instance's bindings (the parameter-sensitivity guard),
-    /// so a hit prices the instance, not the sniffed original.
-    pub fn cost_query(
-        &mut self,
-        catalog: &Catalog,
-        stats: &StatsCatalog,
-        query: &Query,
-        hypothetical: &[IndexDef],
-        include_materialised: bool,
-    ) -> WhatIfOutcome {
-        // Interned ids of the caller's candidate set (first occurrence
-        // wins for duplicated definitions).
-        let hypo_ids: Vec<u32> = hypothetical.iter().map(|d| self.intern(d)).collect();
-        let mut config: Vec<u32> = Vec::new();
-        let mut sizes: HashMap<u32, u64> = HashMap::new();
-        for (def, &id) in hypothetical.iter().zip(&hypo_ids) {
-            if query.tables.contains(&def.table) && !config.contains(&id) {
-                config.push(id);
-                sizes.insert(id, catalog.estimated_live_bytes(def));
-            }
-        }
-        if include_materialised {
-            for ix in catalog.all_indexes() {
-                if !query.tables.contains(&ix.def().table) {
-                    continue;
-                }
-                let id = self.intern(ix.def());
-                if !config.contains(&id) {
-                    config.push(id);
-                    // Live (drift-grown) size — same convention as the
-                    // hypotheticals, so incremental-benefit comparisons
-                    // stay apples-to-apples under drift.
-                    sizes.insert(id, catalog.index_live_bytes(ix.id()));
-                }
-            }
-        }
-        config.sort_unstable();
-
-        let candidates: Vec<IndexCandidate> = config
-            .iter()
-            .map(|&id| IndexCandidate {
-                id: Self::planner_id(id),
-                def: self.defs[id as usize].clone(),
-                size_bytes: sizes[&id],
-            })
-            .collect();
-        let ctx = PlannerContext {
-            catalog,
-            stats,
-            cost: &self.cost,
-            indexes: candidates,
-        };
-        let planner = Planner::new(&ctx);
-
-        let key = PlanKey {
-            template: query.template,
-            include_materialised,
-            config,
-        };
+impl PlanMemo {
+    /// Cost one query under a prepared configuration, returning its
+    /// estimated cost and the plan it used. A hit is recosted under this
+    /// instance's bindings (the parameter-sensitivity guard), so it prices
+    /// the instance, not the sniffed original.
+    fn cost(&mut self, prep: &PreparedConfig<'_>, query: &Query) -> (SimSeconds, &Plan) {
+        let (catalog, stats) = (prep.ctx.catalog, prep.ctx.stats);
+        let planner = Planner::new(&prep.ctx);
         let plan_fresh = |planner: &Planner<'_>| CachedPlan {
             plan: planner.plan(query),
             deps: query
@@ -297,7 +307,7 @@ impl WhatIfService {
         }
 
         use std::collections::hash_map::Entry;
-        let (cached, est_cost) = match self.plans.entry(key) {
+        match self.plans.entry(prep.key(query)) {
             Entry::Occupied(mut e) => {
                 if !e.get().deps.iter().all(|d| d.is_valid(catalog, stats)) {
                     self.stats.misses += 1;
@@ -306,8 +316,7 @@ impl WhatIfService {
                     self.obs.counter("whatif.invalidation", 1);
                     e.insert(plan_fresh(&planner));
                     let c = e.into_mut();
-                    let est = c.plan.est_cost;
-                    (c, est)
+                    (c.plan.est_cost, &c.plan)
                 } else {
                     match planner.cost_plan(query, &e.get().plan) {
                         Some(recost)
@@ -316,7 +325,7 @@ impl WhatIfService {
                         {
                             self.stats.hits += 1;
                             self.obs.counter("whatif.hit", 1);
-                            (e.into_mut(), recost)
+                            (recost, &e.into_mut().plan)
                         }
                         _ => {
                             // Recost exceeded the guard (or the plan could
@@ -327,8 +336,7 @@ impl WhatIfService {
                             self.obs.counter("whatif.recompilation", 1);
                             e.insert(plan_fresh(&planner));
                             let c = e.into_mut();
-                            let est = c.plan.est_cost;
-                            (c, est)
+                            (c.plan.est_cost, &c.plan)
                         }
                     }
                 }
@@ -337,24 +345,130 @@ impl WhatIfService {
                 self.stats.misses += 1;
                 self.obs.counter("whatif.miss", 1);
                 let c = v.insert(plan_fresh(&planner));
-                let est = c.plan.est_cost;
-                (c, est)
+                (c.plan.est_cost, &c.plan)
             }
-        };
+        }
+    }
+}
 
-        // Map plan-used interned ids back to positions in the caller's
-        // hypothetical slice (materialised-only candidates map to none).
-        let used_hypothetical: Vec<usize> = cached
-            .plan
-            .indexes_used()
-            .into_iter()
-            .filter_map(Self::interned_id)
-            .filter_map(|id| hypo_ids.iter().position(|&h| h == id))
-            .collect();
+/// The long-lived what-if subsystem. One per tuning session, shared by
+/// everything that costs hypothetical configurations — the guardrail's
+/// shadow baselines and rollback assessment, PDTool's candidate scoring,
+/// and the [`WhatIf`](crate::WhatIf) facade.
+#[derive(Debug, Clone)]
+pub struct WhatIfService {
+    cost: CostModel,
+    interner: Interner,
+    memo: PlanMemo,
+}
+
+impl WhatIfService {
+    pub fn new(cost: CostModel) -> Self {
+        WhatIfService {
+            cost,
+            interner: Interner::default(),
+            memo: PlanMemo {
+                plans: HashMap::new(),
+                sweep_watermark: MAX_CACHED_WHATIF_PLANS,
+                stats: WhatIfStats::default(),
+                obs: dba_obs::Obs::noop(),
+            },
+        }
+    }
+
+    /// Attach the session's observability handle. Counters emitted from
+    /// here on mirror [`WhatIfStats`] increments one-for-one.
+    pub fn set_obs(&mut self, obs: &dba_obs::Obs) {
+        self.memo.obs = obs.clone();
+    }
+
+    /// The cost model every costing runs through.
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+
+    /// Running hit/miss/invalidation totals.
+    pub fn stats(&self) -> WhatIfStats {
+        self.memo.stats
+    }
+
+    /// Cached plans currently held.
+    pub fn len(&self) -> usize {
+        self.memo.plans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.memo.plans.is_empty()
+    }
+
+    /// Cost one query under `hypothetical` definitions (plus, when
+    /// `include_materialised`, the catalog's real indexes — at their live
+    /// sizes). Served from the memo when the template was already planned
+    /// under the same candidate set on the query's tables and nothing
+    /// those tables depend on has moved; a hit is still recosted under
+    /// this instance's bindings. This is a pass of one query: the
+    /// configuration is prepared over the query's own tables, then
+    /// costed once.
+    pub fn cost_query(
+        &mut self,
+        catalog: &Catalog,
+        stats: &StatsCatalog,
+        query: &Query,
+        hypothetical: &[IndexDef],
+        include_materialised: bool,
+    ) -> WhatIfOutcome {
+        let prep = self.interner.prepare(
+            catalog,
+            stats,
+            &self.cost,
+            &query.tables,
+            hypothetical,
+            include_materialised,
+        );
+        let (est_cost, plan) = self.memo.cost(&prep, query);
         WhatIfOutcome {
             est_cost,
-            used_hypothetical,
-            plan: cached.plan.clone(),
+            used_hypothetical: prep.positions(plan).collect(),
+            plan: plan.clone(),
+        }
+    }
+
+    /// Prepare `hypothetical` once, then cost every query under it, in
+    /// order. `each` sees the query's index, its estimated cost and the
+    /// hypothetical positions its plan used. An empty workload prepares
+    /// (and interns) nothing, like a loop of per-query costings would.
+    fn pass(
+        &mut self,
+        catalog: &Catalog,
+        stats: &StatsCatalog,
+        queries: &[Query],
+        hypothetical: &[IndexDef],
+        include_materialised: bool,
+        mut each: impl FnMut(usize, SimSeconds, &[usize]),
+    ) {
+        if queries.is_empty() {
+            return;
+        }
+        let mut tables: Vec<TableId> = Vec::new();
+        for &t in queries.iter().flat_map(|q| &q.tables) {
+            if !tables.contains(&t) {
+                tables.push(t);
+            }
+        }
+        let prep = self.interner.prepare(
+            catalog,
+            stats,
+            &self.cost,
+            &tables,
+            hypothetical,
+            include_materialised,
+        );
+        let mut used = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let (est_cost, plan) = self.memo.cost(&prep, q);
+            used.clear();
+            used.extend(prep.positions(plan));
+            each(i, est_cost, &used);
         }
     }
 
@@ -370,13 +484,19 @@ impl WhatIfService {
     ) -> (SimSeconds, Vec<u32>) {
         let mut total = SimSeconds::ZERO;
         let mut usage = vec![0u32; hypothetical.len()];
-        for q in queries {
-            let outcome = self.cost_query(catalog, stats, q, hypothetical, include_materialised);
-            total += outcome.est_cost;
-            for i in outcome.used_hypothetical {
-                usage[i] += 1;
-            }
-        }
+        self.pass(
+            catalog,
+            stats,
+            queries,
+            hypothetical,
+            include_materialised,
+            |_, est_cost, used| {
+                total += est_cost;
+                for &i in used {
+                    usage[i] += 1;
+                }
+            },
+        );
         (total, usage)
     }
 
@@ -398,22 +518,30 @@ impl WhatIfService {
         include_materialised: bool,
     ) -> (SimSeconds, Vec<f64>) {
         debug_assert_eq!(queries.len(), weights.len());
+        let queries = &queries[..queries.len().min(weights.len())];
         let mut total = SimSeconds::ZERO;
         let mut per_query = Vec::with_capacity(queries.len());
-        for (q, &w) in queries.iter().zip(weights) {
-            let outcome = self.cost_query(catalog, stats, q, hypothetical, include_materialised);
-            per_query.push(outcome.est_cost.secs());
-            total += outcome.est_cost * w;
-        }
+        self.pass(
+            catalog,
+            stats,
+            queries,
+            hypothetical,
+            include_materialised,
+            |i, est_cost, _| {
+                per_query.push(est_cost.secs());
+                total += est_cost * weights[i];
+            },
+        );
         (total, per_query)
     }
 
     /// Price many hypothetical configurations over one workload in a
-    /// single pass. Sub-plans are shared through the memo: a query whose
-    /// tables see the same candidate subset under two configurations is
-    /// planned once — which makes the classic advisor shapes (base +
-    /// each-candidate-alone, full + leave-one-out) cost little more than
-    /// one workload pass instead of one per configuration.
+    /// single pass each. Sub-plans are shared through the memo: a query
+    /// whose tables see the same candidate subset under two
+    /// configurations is planned once — which makes the classic advisor
+    /// shapes (base + each-candidate-alone, full + leave-one-out) cost
+    /// little more than one workload pass instead of one per
+    /// configuration.
     pub fn marginals(
         &mut self,
         catalog: &Catalog,
@@ -422,14 +550,17 @@ impl WhatIfService {
         configs: &[Vec<IndexDef>],
         include_materialised: bool,
     ) -> Vec<ConfigCost> {
-        configs
+        self.memo.obs.span_enter("whatif.marginals");
+        let costs = configs
             .iter()
             .map(|config| {
                 let (total, usage) =
                     self.cost_workload(catalog, stats, queries, config, include_materialised);
                 ConfigCost { total, usage }
             })
-            .collect()
+            .collect();
+        self.memo.obs.span_exit("whatif.marginals");
+        costs
     }
 }
 
@@ -437,7 +568,7 @@ impl WhatIfService {
 mod tests {
     use super::*;
     use dba_common::{ColumnId, QueryId, TableId};
-    use dba_engine::Predicate;
+    use dba_engine::{JoinPred, Predicate};
     use dba_storage::{ColumnSpec, ColumnType, Distribution, TableBuilder, TableSchema};
 
     fn catalog() -> Catalog {
@@ -752,8 +883,363 @@ mod tests {
         // Force a sweep by dropping the cap to something tiny via direct
         // retain — the public path only sweeps past MAX_CACHED_WHATIF_PLANS,
         // which is too large to exercise here cheaply.
-        svc.plans
+        svc.memo
+            .plans
             .retain(|_, c| c.deps.iter().all(|d| d.is_valid(&cat, &stats)));
         assert_eq!(svc.len(), 1, "only the still-valid cold plan survives");
+    }
+
+    /// A small star schema for the batched ≡ per-query sweep: a fact
+    /// table, two dimensions, and a `dead` table no query ever touches.
+    /// Each table has two same-width columns no query reads, so indexes
+    /// that differ only in which of them they include cost exactly the
+    /// same: the sweep's plans meet real tie-breaks.
+    fn star_catalog() -> Catalog {
+        let int = |name: &str, dist| ColumnSpec::new(name, ColumnType::Int, dist);
+        let uni = |hi| Distribution::Uniform { lo: 0, hi };
+        let fact = TableSchema::new(
+            "fact",
+            vec![
+                int("f_key", Distribution::Sequential),
+                int("f_d1", Distribution::FkUniform { parent_rows: 1_000 }),
+                int("f_d2", Distribution::FkUniform { parent_rows: 500 }),
+                int("f_v", uni(9_999)),
+                int("f_pad1", uni(99)),
+                int("f_pad2", uni(99)),
+            ],
+        );
+        let dim = |name, rows: i64| {
+            TableSchema::new(
+                name,
+                vec![
+                    int("d_key", Distribution::Sequential),
+                    int("d_attr", uni(rows / 10 - 1)),
+                    int("d_pad1", uni(99)),
+                    int("d_pad2", uni(99)),
+                ],
+            )
+        };
+        Catalog::new(vec![
+            TableBuilder::new(fact, 20_000).build(TableId(0), 11),
+            TableBuilder::new(dim("d1", 1_000), 1_000).build(TableId(1), 11),
+            TableBuilder::new(dim("d2", 500), 500).build(TableId(2), 11),
+            TableBuilder::new(dim("dead", 1_000), 1_000).build(TableId(3), 11),
+        ])
+    }
+
+    /// splitmix64: a dependency-free seeded stream for the sweep.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One bound instance of one of seven templates: single-table
+    /// queries on each live table, two-way joins, and a three-way join.
+    fn star_query(template: u32, rng: &mut Mix) -> Query {
+        let col = |t: u32, c: u32| ColumnId::new(TableId(t), c as u16);
+        let v = rng.below(10_000) as i64;
+        let attr = |rows: i64| v % (rows / 10);
+        let (tables, predicates, joins, payload) = match template {
+            0 => (
+                vec![0],
+                vec![Predicate::eq(col(0, 3), v)],
+                vec![],
+                vec![col(0, 0)],
+            ),
+            1 => (
+                vec![0],
+                vec![Predicate::range(col(0, 3), v, v + 40)],
+                vec![],
+                vec![col(0, 1)],
+            ),
+            2 => (
+                vec![1],
+                vec![Predicate::eq(col(1, 1), attr(1_000))],
+                vec![],
+                vec![col(1, 0)],
+            ),
+            3 => (
+                vec![2],
+                vec![Predicate::eq(col(2, 1), attr(500))],
+                vec![],
+                vec![col(2, 0)],
+            ),
+            4 => (
+                vec![0, 1],
+                vec![Predicate::eq(col(1, 1), attr(1_000))],
+                vec![JoinPred::new(col(1, 0), col(0, 1))],
+                vec![col(0, 0)],
+            ),
+            5 => (
+                vec![2, 0],
+                vec![
+                    Predicate::eq(col(2, 1), attr(500)),
+                    Predicate::range(col(0, 3), v, v + 2_000),
+                ],
+                vec![JoinPred::new(col(2, 0), col(0, 2))],
+                vec![col(0, 0)],
+            ),
+            _ => (
+                vec![1, 0, 2],
+                vec![
+                    Predicate::eq(col(1, 1), attr(1_000)),
+                    Predicate::eq(col(2, 1), attr(500)),
+                ],
+                vec![
+                    JoinPred::new(col(1, 0), col(0, 1)),
+                    JoinPred::new(col(2, 0), col(0, 2)),
+                ],
+                vec![col(0, 0)],
+            ),
+        };
+        Query {
+            id: QueryId(rng.next()),
+            template: TemplateId(template),
+            tables: tables.into_iter().map(TableId).collect(),
+            predicates,
+            joins,
+            payload,
+            aggregated: template % 2 == 1,
+        }
+    }
+
+    /// Hypothetical pool: tie pairs (same key, same-width unread
+    /// include), covering and join-key indexes on the live tables, and
+    /// indexes on the dead table.
+    fn star_pool() -> Vec<IndexDef> {
+        let d = |t: u32, k: &[u16], i: &[u16]| IndexDef::new(TableId(t), k.to_vec(), i.to_vec());
+        vec![
+            d(0, &[3], &[4]),
+            d(0, &[3], &[5]),
+            d(0, &[3], &[0]),
+            d(0, &[1], &[4]),
+            d(0, &[1], &[5]),
+            d(0, &[2], &[4]),
+            d(0, &[2], &[5]),
+            d(1, &[1], &[2]),
+            d(1, &[1], &[3]),
+            d(1, &[0], &[]),
+            d(2, &[1], &[2]),
+            d(2, &[1], &[3]),
+            d(2, &[0], &[2]),
+            d(3, &[1], &[]),
+            d(3, &[0], &[1]),
+        ]
+    }
+
+    /// Candidates that get materialised mid-sweep — one duplicates a
+    /// pool definition, the rest are new to both services.
+    fn star_materialisable() -> Vec<IndexDef> {
+        let d = |t: u32, k: &[u16], i: &[u16]| IndexDef::new(TableId(t), k.to_vec(), i.to_vec());
+        vec![
+            d(0, &[3], &[5]),
+            d(0, &[3], &[4, 5]),
+            d(0, &[1], &[2]),
+            d(1, &[1], &[0]),
+            d(2, &[1], &[0]),
+            d(3, &[1], &[0]),
+        ]
+    }
+
+    /// The per-query reference: cost every query on its own through
+    /// `cost_query`, exposing only the definitions on the query's
+    /// tables. Definitions already interned are listed in reverse, which
+    /// must not matter; fresh ones are listed in order, so both services
+    /// intern them alike. Returns per-query costs, the total summed in
+    /// query order, and usage mapped back to `defs` positions.
+    fn per_query_reference(
+        svc: &mut WhatIfService,
+        cat: &Catalog,
+        stats: &StatsCatalog,
+        queries: &[Query],
+        defs: &[IndexDef],
+        include_materialised: bool,
+    ) -> (Vec<SimSeconds>, Vec<u32>) {
+        let mut costs = Vec::new();
+        let mut usage = vec![0u32; defs.len()];
+        for q in queries {
+            let mut on_q: Vec<usize> = (0..defs.len())
+                .filter(|&i| q.tables.contains(&defs[i].table))
+                .collect();
+            if on_q
+                .iter()
+                .all(|&i| svc.interner.ids.contains_key(&defs[i]))
+            {
+                on_q.reverse();
+            }
+            let listed: Vec<IndexDef> = on_q.iter().map(|&i| defs[i].clone()).collect();
+            let out = svc.cost_query(cat, stats, q, &listed, include_materialised);
+            costs.push(out.est_cost);
+            for p in out.used_hypothetical {
+                // A duplicate maps to the caller's first occurrence.
+                let first = defs.iter().position(|d| *d == listed[p]).unwrap();
+                usage[first] += 1;
+            }
+        }
+        (costs, usage)
+    }
+
+    fn sum(costs: &[SimSeconds]) -> SimSeconds {
+        costs.iter().fold(SimSeconds::ZERO, |acc, &c| acc + c)
+    }
+
+    /// The batched paths (`cost_workload`, `cost_workload_weighted`,
+    /// `marginals`) are exactly per-query costing: on a seeded sweep of
+    /// workloads, configurations (duplicates, dead-table definitions,
+    /// materialised indexes exposed or not) and catalog changes between
+    /// passes, every total is bit-identical, usage and per-query costs
+    /// agree, and both services count the same hits, misses,
+    /// invalidations and recompilations.
+    #[test]
+    fn batched_passes_match_per_query_costing() {
+        for seed in [3u64, 17, 99] {
+            let mut rng = Mix(seed);
+            let mut cat = star_catalog();
+            let stats = StatsCatalog::build(&cat);
+            let (mut batched, mut single) = (service(), service());
+            let pool = star_pool();
+            let materialisable = star_materialisable();
+
+            // Warm-up: every pool definition is interned by both services
+            // in pool order, so later reversed listings are order-only.
+            let all_tables: Vec<Query> = (0..7).map(|t| star_query(t, &mut rng)).collect();
+            let (total, usage) = batched.cost_workload(&cat, &stats, &all_tables, &pool, false);
+            let (costs, ref_usage) =
+                per_query_reference(&mut single, &cat, &stats, &all_tables, &pool, false);
+            assert_eq!(total.secs().to_bits(), sum(&costs).secs().to_bits());
+            assert_eq!(usage, ref_usage);
+
+            for step in 0..60 {
+                match rng.below(6) {
+                    0 => {
+                        let def = &materialisable[rng.below(materialisable.len())];
+                        let _ = cat.create_index(def.clone());
+                    }
+                    1 => {
+                        let ids: Vec<IndexId> = cat.all_indexes().map(|ix| ix.id()).collect();
+                        if !ids.is_empty() {
+                            cat.drop_index(ids[rng.below(ids.len())]).unwrap();
+                        }
+                    }
+                    2 => {
+                        cat.apply_drift(TableId(rng.below(3) as u32), 200, 0, 0);
+                    }
+                    _ => {}
+                }
+                let n = rng.below(9);
+                let queries: Vec<Query> = (0..n)
+                    .map(|_| star_query(rng.below(7) as u32, &mut rng))
+                    .collect();
+                // Random draws repeat definitions; half the
+                // configurations also repeat their first one.
+                let mut defs: Vec<IndexDef> = (0..1 + rng.below(8))
+                    .map(|_| pool[rng.below(pool.len())].clone())
+                    .collect();
+                if rng.below(2) == 0 {
+                    defs.push(defs[0].clone());
+                }
+                let incl = rng.below(2) == 0;
+                let ctx = format!("seed {seed} step {step}");
+                match rng.below(3) {
+                    0 => {
+                        let (total, usage) =
+                            batched.cost_workload(&cat, &stats, &queries, &defs, incl);
+                        let (costs, ref_usage) =
+                            per_query_reference(&mut single, &cat, &stats, &queries, &defs, incl);
+                        assert_eq!(
+                            total.secs().to_bits(),
+                            sum(&costs).secs().to_bits(),
+                            "{ctx}"
+                        );
+                        assert_eq!(usage, ref_usage, "{ctx}");
+                    }
+                    1 => {
+                        let weights: Vec<f64> =
+                            queries.iter().map(|_| 1.0 + rng.below(50) as f64).collect();
+                        let (total, per_query) = batched
+                            .cost_workload_weighted(&cat, &stats, &queries, &weights, &defs, incl);
+                        let (costs, _) =
+                            per_query_reference(&mut single, &cat, &stats, &queries, &defs, incl);
+                        let weighted = costs
+                            .iter()
+                            .zip(&weights)
+                            .fold(SimSeconds::ZERO, |acc, (&c, &w)| acc + c * w);
+                        assert_eq!(total.secs().to_bits(), weighted.secs().to_bits(), "{ctx}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let ref_per_query: Vec<f64> = costs.iter().map(|c| c.secs()).collect();
+                        assert_eq!(bits(&per_query), bits(&ref_per_query), "{ctx}");
+                    }
+                    _ => {
+                        // The guard's shape: a full configuration plus its
+                        // leave-one-out subsets.
+                        let configs: Vec<Vec<IndexDef>> = std::iter::once(defs.clone())
+                            .chain((0..defs.len()).map(|skip| {
+                                let mut c = defs.clone();
+                                c.remove(skip);
+                                c
+                            }))
+                            .collect();
+                        let got = batched.marginals(&cat, &stats, &queries, &configs, incl);
+                        assert_eq!(got.len(), configs.len());
+                        for (cfg, cc) in configs.iter().zip(&got) {
+                            let (costs, ref_usage) =
+                                per_query_reference(&mut single, &cat, &stats, &queries, cfg, incl);
+                            assert_eq!(
+                                cc.total.secs().to_bits(),
+                                sum(&costs).secs().to_bits(),
+                                "{ctx}"
+                            );
+                            assert_eq!(cc.usage, ref_usage, "{ctx}");
+                        }
+                    }
+                }
+                assert_eq!(batched.stats(), single.stats(), "{ctx}");
+            }
+            let s = batched.stats();
+            assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{s:?}");
+        }
+    }
+
+    /// Materialised indexes are interned when a costed query first looks
+    /// at their table, never earlier, so batching cannot reorder a
+    /// table's candidates. Pinned through a tie: a hypothetical and a
+    /// materialised index of equal cost on the fact table, where the one
+    /// interned first wins.
+    #[test]
+    fn materialised_indexes_intern_where_a_query_looks() {
+        let mut cat = star_catalog();
+        let stats = StatsCatalog::build(&cat);
+        cat.create_index(IndexDef::new(TableId(0), vec![3], vec![5]))
+            .unwrap();
+        let hypo = vec![IndexDef::new(TableId(0), vec![3], vec![4])];
+        let mut rng = Mix(5);
+        let on_fact = vec![star_query(0, &mut rng)];
+        let on_d1 = vec![star_query(2, &mut rng)];
+
+        // A pass over d1 leaves the fact table's index un-interned: the
+        // hypothetical interns first and wins the tie.
+        let mut svc = service();
+        svc.cost_workload(&cat, &stats, &on_d1, &[], true);
+        let (_, usage) = svc.cost_workload(&cat, &stats, &on_fact, &hypo, true);
+        assert_eq!(usage, vec![1]);
+
+        // Control: once a query on the fact table has met the
+        // materialised index, it interns first and wins — so the tie is
+        // real.
+        let mut svc = service();
+        svc.cost_workload(&cat, &stats, &on_fact, &[], true);
+        let (_, usage) = svc.cost_workload(&cat, &stats, &on_fact, &hypo, true);
+        assert_eq!(usage, vec![0]);
     }
 }

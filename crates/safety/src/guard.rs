@@ -301,8 +301,10 @@ impl<A: Advisor> Advisor for SafeguardedAdvisor<A> {
         //    baseline prices the round it observes — not the post-drift
         //    world one round later. Rollback verdicts wait for the next
         //    round boundary.
-        // The round-close event is emitted after the ledger guard drops:
+        // The close span opens before the ledger lock is taken and closes
+        // after it drops, and the round-close event is emitted after it:
         // telemetry must never extend a critical section.
+        self.obs.span_enter("safety.close_round");
         let (pending, last) = {
             let mut state = self.ledger.lock();
             state.note_execution(queries, executions);
@@ -313,6 +315,7 @@ impl<A: Advisor> Advisor for SafeguardedAdvisor<A> {
             state.set_pending_rollbacks(victims);
             (pending, last)
         };
+        self.obs.span_exit("safety.close_round");
         if let Some(last) = last {
             self.obs.event(
                 "safety.round_close",

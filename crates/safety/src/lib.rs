@@ -642,4 +642,84 @@ mod tests {
         assert!((report.cum_regret_s - cum).abs() < 1e-9);
         assert!(report.cum_shadow_noindex_s > 0.0);
     }
+
+    /// What one `Full` close asks of the what-if service: with Q queries,
+    /// the do-nothing and previous-config shadows, the full-config pass
+    /// and one leave-one-out pass per used index cost exactly
+    /// Q × (2 + 1 + used) queries. An identical second close on the
+    /// unchanged catalog answers every one of them from the memo.
+    #[test]
+    fn full_close_costs_one_pass_per_requested_configuration() {
+        let side = TableSchema::new(
+            "side",
+            vec![
+                ColumnSpec::new("s_key", ColumnType::Int, Distribution::Sequential),
+                ColumnSpec::new(
+                    "s_v",
+                    ColumnType::Int,
+                    Distribution::Uniform { lo: 0, hi: 9_999 },
+                ),
+            ],
+        );
+        let mut cat = Catalog::new(vec![
+            catalog().table(TableId(0)).clone(),
+            TableBuilder::new(side, 20_000).build(TableId(1), 7),
+        ]);
+        let stats = StatsCatalog::build(&cat);
+        let cost = CostModel::unit_scale();
+        let defs = vec![
+            IndexDef::new(TableId(0), vec![1], vec![0]),
+            IndexDef::new(TableId(0), vec![2], vec![]),
+            IndexDef::new(TableId(1), vec![1], vec![0]),
+        ];
+        let mut guard = SafeguardedAdvisor::new(
+            Scripted::new(defs, 0.0),
+            SafetyConfig {
+                memory_budget_bytes: u64::MAX,
+                rollback_window: 50,
+                regret_slack_s: 1e9,
+                ..SafetyConfig::default()
+            },
+            cost.clone(),
+        );
+        let side_query = |id: u64, value: i64| Query {
+            id: QueryId(id),
+            template: TemplateId(2),
+            tables: vec![TableId(1)],
+            predicates: vec![Predicate::eq(ColumnId::new(TableId(1), 1), value)],
+            joins: vec![],
+            payload: vec![ColumnId::new(TableId(1), 0)],
+            aggregated: false,
+        };
+        let qs = vec![
+            query(0, 5),
+            side_query(1, 9),
+            query(2, 77),
+            side_query(3, 700),
+        ];
+
+        let mut whatif = svc();
+        let mut close = |round: usize, cat: &mut Catalog, whatif: &mut WhatIfService| {
+            guard.before_round(round, cat, &stats, whatif);
+            let ex = run_round(cat, &stats, &cost, &qs);
+            let before = whatif.stats();
+            observe(&mut guard, cat, &stats, whatif, &qs, &ex);
+            let after = whatif.stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        let (hits, misses) = close(0, &mut cat, &mut whatif);
+        assert_eq!(cat.all_indexes().count(), 3, "nothing vetoed");
+
+        let all: Vec<IndexDef> = cat.all_indexes().map(|ix| ix.def().clone()).collect();
+        let (_, usage) = svc().cost_workload(&cat, &stats, &qs, &all, false);
+        let used = usage.iter().filter(|&&u| u > 0).count() as u64;
+        assert_eq!(used, 2, "the index on `w` serves no query");
+        let q = qs.len() as u64;
+        assert_eq!(hits + misses, q * (2 + 1 + used));
+
+        let (hits, misses) = close(1, &mut cat, &mut whatif);
+        assert_eq!(cat.all_indexes().count(), 3, "nothing rolled back");
+        assert_eq!(misses, 0, "an unchanged catalog replans nothing");
+        assert_eq!(hits, q * (2 + 1 + used));
+    }
 }
