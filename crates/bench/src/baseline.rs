@@ -10,7 +10,9 @@
 //! still-green verdict. The `check_baselines` binary closes that gap in
 //! CI: it re-reads the JSON the scenario runs just wrote, compares every
 //! tuner's end-to-end totals against the committed baseline and prints a
-//! readable per-tuner delta table instead of a bare panic.
+//! readable per-tuner delta table instead of a bare panic. Deterministic
+//! per-round and per-window counters are compared exactly, with no
+//! tolerance (see [`first_counter_mismatch`]).
 //!
 //! The parser is a minimal recursive-descent JSON reader — the offline
 //! build has no `serde_json`, and the documents are our own (written by
@@ -271,6 +273,85 @@ pub fn extract_totals(doc: &Json) -> Result<(Option<f64>, Vec<RunTotals>), Strin
     Ok((seed, out))
 }
 
+/// Deterministic per-round counters of the fixed-round scenarios: the
+/// plan cache and what-if service hit/miss deltas each round records.
+pub const ROUND_COUNTERS: [&str; 4] = [
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "whatif_hits",
+    "whatif_misses",
+];
+
+/// Deterministic per-window fields of the streaming scenario: the degrade
+/// level the window ran at and its arrival count.
+pub const WINDOW_COUNTERS: [&str; 2] = ["level", "arrivals"];
+
+fn show(value: &Json) -> String {
+    match value {
+        Json::Num(n) => format!("{n}"),
+        Json::Str(s) => s.clone(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Exact gate on deterministic counters: walk every run's `trail` array
+/// (`"rounds"` or `"windows"`) in both documents and require each step's
+/// `keys` to be equal — no tolerance, since the counters do not depend on
+/// the machine. Returns the first divergence, naming the tuner and the
+/// step (`None` when everything matches); a missing trail or key is a
+/// schema error.
+pub fn first_counter_mismatch(
+    current: &Json,
+    baseline: &Json,
+    trail: &str,
+    keys: &[&str],
+) -> Result<Option<String>, String> {
+    fn array<'a>(doc: &'a Json, key: &str) -> Option<&'a [Json]> {
+        doc.get(key).and_then(Json::as_array)
+    }
+    let no_runs = || "document has no \"runs\" array".to_string();
+    let cur_runs = array(current, "runs").ok_or_else(no_runs)?;
+    let base_runs = array(baseline, "runs").ok_or_else(no_runs)?;
+    if cur_runs.len() != base_runs.len() {
+        return Err(format!(
+            "run count differs: current has {}, baseline has {}",
+            cur_runs.len(),
+            base_runs.len()
+        ));
+    }
+    // "rounds" → each step's "round" field, "windows" → "window".
+    let step_key = trail.strip_suffix('s').unwrap_or(trail);
+    for (cur, base) in cur_runs.iter().zip(base_runs) {
+        let tuner = cur.get("tuner").and_then(Json::as_str).unwrap_or("?");
+        let no_trail = |side: &str| format!("{tuner}: {side} run has no {trail:?} array");
+        let cur_steps = array(cur, trail).ok_or_else(|| no_trail("current"))?;
+        let base_steps = array(base, trail).ok_or_else(|| no_trail("baseline"))?;
+        if cur_steps.len() != base_steps.len() {
+            return Ok(Some(format!(
+                "{tuner}: {} {trail} vs baseline {}",
+                cur_steps.len(),
+                base_steps.len()
+            )));
+        }
+        for (i, (c, b)) in cur_steps.iter().zip(base_steps).enumerate() {
+            for &key in keys {
+                let missing = || format!("{tuner}: {trail}[{i}] has no {key:?}");
+                let cv = c.get(key).ok_or_else(missing)?;
+                let bv = b.get(key).ok_or_else(missing)?;
+                if cv != bv {
+                    let step = c.get(step_key).map_or_else(|| i.to_string(), show);
+                    return Ok(Some(format!(
+                        "{tuner} {step_key} {step}: {key} = {} (baseline {})",
+                        show(cv),
+                        show(bv)
+                    )));
+                }
+            }
+        }
+    }
+    Ok(None)
+}
+
 /// One row of the delta table: a (tuner, quantity) comparison.
 #[derive(Debug, Clone)]
 pub struct DeltaRow {
@@ -447,6 +528,68 @@ mod tests {
         // And the table stays readable: no astronomical percentage from a
         // zero baseline.
         assert_eq!(rec.rel_delta(), 0.0);
+    }
+
+    fn counters_doc(trail: &str, steps: &[&str]) -> Json {
+        let steps: Vec<String> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, fields)| {
+                format!("{{\"{}\": {}, {fields}}}", &trail[..trail.len() - 1], i + 1)
+            })
+            .collect();
+        Json::parse(&format!(
+            "{{\"runs\": [{{\"tuner\": \"MAB\", \"{trail}\": [{}]}}]}}",
+            steps.join(", ")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn identical_counters_pass_the_exact_gate() {
+        let doc = counters_doc("rounds", &[r#""whatif_hits": 3"#, r#""whatif_hits": 5"#]);
+        assert_eq!(
+            first_counter_mismatch(&doc, &doc, "rounds", &["whatif_hits"]),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn exact_gate_names_the_first_diverging_tuner_and_step() {
+        let base = counters_doc(
+            "windows",
+            &[
+                r#""level": "full", "arrivals": 10"#,
+                r#""level": "full", "arrivals": 12"#,
+            ],
+        );
+        let cur = counters_doc(
+            "windows",
+            &[
+                r#""level": "full", "arrivals": 10"#,
+                r#""level": "reuse", "arrivals": 12"#,
+            ],
+        );
+        let msg = first_counter_mismatch(&cur, &base, "windows", &WINDOW_COUNTERS)
+            .unwrap()
+            .expect("level moved");
+        assert_eq!(msg, "MAB window 2: level = reuse (baseline full)");
+        // One count off is a divergence too: no tolerance.
+        let cur = counters_doc("rounds", &[r#""whatif_hits": 4"#]);
+        let base = counters_doc("rounds", &[r#""whatif_hits": 3"#]);
+        assert!(
+            first_counter_mismatch(&cur, &base, "rounds", &["whatif_hits"])
+                .unwrap()
+                .is_some()
+        );
+        // A step-count change is a divergence; a missing key is a schema error.
+        let short = counters_doc("rounds", &[]);
+        assert!(
+            first_counter_mismatch(&short, &base, "rounds", &["whatif_hits"])
+                .unwrap()
+                .is_some()
+        );
+        assert!(first_counter_mismatch(&cur, &base, "rounds", &["whatif_misses"]).is_err());
     }
 
     #[test]

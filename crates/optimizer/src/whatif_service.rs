@@ -1,14 +1,22 @@
-//! The what-if **service**: a long-lived, version-validated layer that
-//! memoizes hypothetical plans and prices whole batches of configurations
-//! in one pass.
+//! The what-if **service**: cost queries under hypothetical index
+//! configurations without materialising anything — a long-lived,
+//! version-validated layer that memoizes hypothetical plans and prices
+//! whole batches of configurations in one pass.
+//!
+//! This is the AutoAdmin-style API (reference 19 in the paper) that
+//! commercial advisors are built on, and through which every optimiser
+//! misestimate flows into the advisor's decisions. Hypothetical indexes
+//! receive synthetic ids in a reserved range ([`HYPOTHETICAL_BASE`] up) so
+//! they can never collide with (or be executed against) real materialised
+//! indexes.
 //!
 //! Anything that prices many overlapping configurations every round pays
 //! quadratically if each costing plans from scratch: a guardrail's
 //! leave-one-out rollback assessment alone is O(used-indexes × queries)
 //! costings. This service is the one implementation behind every what-if
 //! caller — the guardrail's shadow baselines and rollback assessment,
-//! PDTool's candidate scoring, and the one-shot [`WhatIf`](crate::WhatIf)
-//! facade, which wraps a private instance. It reuses the invalidation
+//! PDTool's candidate scoring, and one-shot probes in tests and examples,
+//! which simply construct a fresh instance. It reuses the invalidation
 //! machinery the [`PlanCache`](crate::PlanCache) proved out, keyed on
 //!
 //! * the query **template** (parameterised-plan reuse, with the same
@@ -50,7 +58,20 @@ use dba_storage::{Catalog, IndexDef};
 use crate::plan_cache::RECOMPILE_COST_FACTOR;
 use crate::planner::{IndexCandidate, Planner, PlannerContext};
 use crate::stats::StatsCatalog;
-use crate::whatif::{WhatIfOutcome, HYPOTHETICAL_BASE};
+
+/// First id used for hypothetical indexes.
+pub const HYPOTHETICAL_BASE: u64 = 1 << 48;
+
+/// Result of costing one query under a hypothetical configuration.
+#[derive(Debug, Clone)]
+pub struct WhatIfOutcome {
+    /// Optimiser-estimated execution cost of the best plan found.
+    pub est_cost: SimSeconds,
+    /// Positions (into the hypothetical set) of indexes the plan used.
+    pub used_hypothetical: Vec<usize>,
+    /// The plan itself (useful for debugging / advisor explanations).
+    pub plan: Plan,
+}
 
 /// Cached what-if plans are swept once the memo grows past this many
 /// entries: any entry whose versions no longer validate is dropped. Live
@@ -354,7 +375,7 @@ impl PlanMemo {
 /// The long-lived what-if subsystem. One per tuning session, shared by
 /// everything that costs hypothetical configurations — the guardrail's
 /// shadow baselines and rollback assessment, PDTool's candidate scoring,
-/// and the [`WhatIf`](crate::WhatIf) facade.
+/// and one-shot probes.
 #[derive(Debug, Clone)]
 pub struct WhatIfService {
     cost: CostModel,
@@ -503,11 +524,12 @@ impl WhatIfService {
     /// Like [`cost_workload`](Self::cost_workload) with a per-query
     /// arrival weight: streaming windows execute one bound instance per
     /// distinct template and scale by that template's arrival count, so
-    /// shadow prices must scale the same way. Returns the weighted total
-    /// plus the *unweighted* per-query costs, which callers memoize as
-    /// per-template prices to amortise pricing across windows. With every
-    /// weight exactly 1.0 the total reproduces `cost_workload`
-    /// bit-for-bit (`x × 1.0` is an IEEE identity).
+    /// shadow prices must scale the same way. Returns the weighted total,
+    /// the *unweighted* per-query costs (which callers memoize as
+    /// per-template prices to amortise pricing across windows) and the
+    /// per-candidate usage counts. With every weight exactly 1.0 the
+    /// total reproduces `cost_workload` bit-for-bit (`x × 1.0` is an IEEE
+    /// identity).
     pub fn cost_workload_weighted(
         &mut self,
         catalog: &Catalog,
@@ -516,23 +538,27 @@ impl WhatIfService {
         weights: &[f64],
         hypothetical: &[IndexDef],
         include_materialised: bool,
-    ) -> (SimSeconds, Vec<f64>) {
+    ) -> (SimSeconds, Vec<f64>, Vec<u32>) {
         debug_assert_eq!(queries.len(), weights.len());
         let queries = &queries[..queries.len().min(weights.len())];
         let mut total = SimSeconds::ZERO;
         let mut per_query = Vec::with_capacity(queries.len());
+        let mut usage = vec![0u32; hypothetical.len()];
         self.pass(
             catalog,
             stats,
             queries,
             hypothetical,
             include_materialised,
-            |i, est_cost, _| {
+            |i, est_cost, used| {
                 per_query.push(est_cost.secs());
                 total += est_cost * weights[i];
+                for &c in used {
+                    usage[c] += 1;
+                }
             },
         );
-        (total, per_query)
+        (total, per_query, usage)
     }
 
     /// Price many hypothetical configurations over one workload in a
@@ -750,9 +776,52 @@ mod tests {
         }
     }
 
-    /// Configurations differing only on tables a query does not touch
-    /// share the query's cached plan — the sharing that makes the batched
-    /// marginals pass cheap.
+    #[test]
+    fn hypothetical_index_reduces_estimated_cost() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let mut svc = service();
+        let q = hot_query(1, 77);
+        let without = svc.cost_query(&cat, &stats, &q, &[], false);
+        let with = svc.cost_query(
+            &cat,
+            &stats,
+            &q,
+            &[IndexDef::new(TableId(0), vec![1], vec![0])],
+            false,
+        );
+        assert!(with.est_cost.secs() < without.est_cost.secs());
+        assert_eq!(with.used_hypothetical, vec![0]);
+        assert!(without.used_hypothetical.is_empty());
+    }
+
+    #[test]
+    fn unused_hypothetical_indexes_do_not_change_cost() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let mut svc = service();
+        let q = hot_query(1, 77);
+        let baseline = svc.cost_query(&cat, &stats, &q, &[], false).est_cost;
+        let junk = [IndexDef::new(TableId(0), vec![2], vec![])];
+        let with_junk = svc.cost_query(&cat, &stats, &q, &junk, false).est_cost;
+        assert!((baseline.secs() - with_junk.secs()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn workload_costing_counts_usage() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let defs = [
+            IndexDef::new(TableId(0), vec![1], vec![0]),
+            IndexDef::new(TableId(0), vec![2], vec![]),
+        ];
+        let queries = vec![hot_query(1, 77); 3];
+        let (total, usage) = service().cost_workload(&cat, &stats, &queries, &defs, false);
+        assert!(total.secs() > 0.0);
+        assert_eq!(usage[0], 3, "selective index used by every query");
+        assert_eq!(usage[1], 0, "unselective index never used");
+    }
+
     #[test]
     fn unit_weights_reproduce_cost_workload_bitwise() {
         let catalog = catalog();
@@ -760,7 +829,7 @@ mod tests {
         let queries: Vec<Query> = (0..4).map(|i| hot_query(1, i * 100)).collect();
         let (plain, _) = service().cost_workload(&catalog, &stats, &queries, &[], false);
         let weights = vec![1.0; queries.len()];
-        let (weighted, per_query) =
+        let (weighted, per_query, _) =
             service().cost_workload_weighted(&catalog, &stats, &queries, &weights, &[], false);
         assert_eq!(plain.secs().to_bits(), weighted.secs().to_bits());
         assert_eq!(per_query.len(), queries.len());
@@ -776,14 +845,17 @@ mod tests {
         let stats = StatsCatalog::build(&catalog);
         let queries = vec![hot_query(1, 500)];
         let mut svc = service();
-        let (unit, per_query) =
+        let (unit, per_query, _) =
             svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[], false);
-        let (scaled, _) =
+        let (scaled, _, _) =
             svc.cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[], false);
         assert!((scaled.secs() - 250.0 * unit.secs()).abs() < 1e-9 * scaled.secs().abs().max(1.0));
         assert_eq!(per_query[0], unit.secs());
     }
 
+    /// Configurations differing only on tables a query does not touch
+    /// share the query's cached plan — the sharing that makes the batched
+    /// marginals pass cheap.
     #[test]
     fn marginals_share_subplans_across_configs() {
         let mut cat = catalog();
@@ -1167,10 +1239,11 @@ mod tests {
                     1 => {
                         let weights: Vec<f64> =
                             queries.iter().map(|_| 1.0 + rng.below(50) as f64).collect();
-                        let (total, per_query) = batched
+                        let (total, per_query, usage) = batched
                             .cost_workload_weighted(&cat, &stats, &queries, &weights, &defs, incl);
-                        let (costs, _) =
+                        let (costs, ref_usage) =
                             per_query_reference(&mut single, &cat, &stats, &queries, &defs, incl);
+                        assert_eq!(usage, ref_usage, "{ctx}");
                         let weighted = costs
                             .iter()
                             .zip(&weights)

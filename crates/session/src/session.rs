@@ -56,7 +56,9 @@ pub struct RoundEvent {
 /// Create via [`SessionBuilder`](crate::SessionBuilder). Drive with
 /// [`run`](Self::run) (whole workload) or [`step`](Self::step) (one round
 /// at a time); the `*_with` variants emit a [`RoundEvent`] per round to an
-/// observer.
+/// observer. Wrap it in a [`StreamingSession`](crate::StreamingSession) to
+/// drive it by arrival window instead. Both drivers run the same round
+/// body: a fixed round is one [`ArrivalProcess::RoundBatch`] window.
 pub struct TuningSession<A: Advisor> {
     benchmark: Benchmark,
     catalog: Catalog,
@@ -76,8 +78,9 @@ pub struct TuningSession<A: Advisor> {
     /// Data-change scenario applied after every round's execution; `None`
     /// (or an all-zero spec) keeps the paper's read-only rounds.
     drift: Option<DataDrift>,
-    /// Seeded template order, computed once so per-round sequencer
-    /// reconstruction does no re-shuffling.
+    /// Seeded template order, computed once so per-window sequencer
+    /// reconstruction does no re-shuffling; every window either driver
+    /// runs is materialised over it (see [`window`](Self::window)).
     template_order: Vec<usize>,
     /// Template-level plan reuse, validated against per-table catalog and
     /// statistics versions — rounds that change nothing skip the planner.
@@ -258,7 +261,10 @@ impl<A: Advisor> TuningSession<A> {
     }
 
     /// [`step`](Self::step), emitting a [`RoundEvent`] to `observer` after
-    /// the round completes.
+    /// the round completes. A fixed round is one
+    /// [`ArrivalProcess::RoundBatch`] window (the round's queries, one
+    /// arrival each) run at [`DegradeLevel::Full`](dba_core::DegradeLevel)
+    /// through the same body the streaming driver uses.
     pub fn step_with(
         &mut self,
         observer: &mut dyn FnMut(&RoundEvent),
@@ -266,123 +272,19 @@ impl<A: Advisor> TuningSession<A> {
         if self.is_finished() {
             return Ok(None);
         }
-        let round = self.next_round;
-        // Field-precise construction: borrowing via `self.sequencer()`
-        // would hold all of `self` across the advisor's mutable calls.
-        let sequencer = WorkloadSequencer::with_order(
-            &self.benchmark,
-            self.workload,
-            self.seed,
-            &self.template_order,
-        );
-
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_enter("session.round");
-
-        // 1. Recommendation: the advisor adjusts the physical design,
-        //    costing hypotheticals through the session's shared service.
-        self.obs.span_enter("round.advise");
-        let whatif_before = self.whatif.stats();
-        let bandit_before = self.advisor.bandit_counters();
-        let advisor_cost =
-            self.advisor
-                .before_round(round, &mut self.catalog, &self.stats, &mut self.whatif);
-        self.sim_now += advisor_cost.recommendation + advisor_cost.creation;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.advise");
-
-        // 2. Execution: plan against the current design — through the plan
-        //    cache, so templates whose tables saw no index/stats/drift
-        //    change since their last plan skip the planner — then run.
-        self.obs.span_enter("round.execute");
-        let queries = sequencer.round_queries(&self.catalog, round)?;
-        let cache_before = self.plan_cache.stats();
-        let executions: Vec<QueryExecution> = {
-            // Field-precise borrows: the cache is mutated while the
-            // planner context holds the catalog and statistics.
-            let catalog = &self.catalog;
-            let stats = &self.stats;
-            let backend = &mut self.backend;
-            let plan_cache = &mut self.plan_cache;
-            let ctx = PlannerContext::from_catalog(catalog, stats, &self.cost);
-            let planner = Planner::new(&ctx);
-            queries
-                .iter()
-                .map(|q| {
-                    let plan = plan_cache.get_or_plan(catalog, stats, &planner, q);
-                    backend.execute(catalog, q, plan)
-                })
-                .collect()
-        };
-        let cache_after = self.plan_cache.stats();
-        let execution: SimSeconds = executions.iter().map(|e| e.total).sum();
-        self.sim_now += execution;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.execute");
-
-        // Session-side shift intensity for the record (same definition as
-        // any advisor-internal query store: the fraction of this round's
-        // distinct templates that were previously unseen).
-        let shift_intensity = self.note_shift_intensity(&queries);
-
-        // 3. Data change: apply the round's drift deltas, charge every
-        //    materialised index its maintenance bill, and let statistics go
-        //    stale (auto-refreshing past the threshold). The advisor's
-        //    observation step must price against the state the queries
-        //    actually ran on, so drifting rounds snapshot the catalog and
-        //    statistics first — overlay clones over the shared `Arc`'d
-        //    base, a few cheap `Vec`s, never the data.
-        self.obs.span_enter("round.drift");
-        let pre_drift = self
-            .drift
-            .as_ref()
-            .map(|_| (self.catalog.clone(), self.stats.clone()));
-        let maintenance = self.apply_drift(round);
-        self.sim_now += maintenance;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.drift");
-
-        // 4. Observation: feed actual run-time statistics back, with
-        //    execution-time catalog/stats access (kills the one-round-late
-        //    shadow-pricing bias guarded sessions used to carry).
-        let (exec_catalog, exec_stats) = match &pre_drift {
-            Some((catalog, stats)) => (catalog, stats),
-            None => (&self.catalog, &self.stats),
-        };
-        let mut ctx = RoundContext {
-            catalog: exec_catalog,
-            stats: exec_stats,
-            whatif: &mut self.whatif,
-        };
-        self.obs.span_enter("round.observe");
-        self.advisor.after_round(&mut ctx, &queries, &executions);
-        self.obs.span_exit("round.observe");
-        self.obs.span_exit("session.round");
-        let whatif_after = self.whatif.stats();
-        let bandit_after = self.advisor.bandit_counters();
-
-        let record = RoundRecord {
-            round: round + 1,
-            recommendation: advisor_cost.recommendation,
-            creation: advisor_cost.creation,
-            execution,
-            maintenance,
-            plan_cache_hits: cache_after.hits - cache_before.hits,
-            plan_cache_misses: cache_after.misses - cache_before.misses,
-            whatif_hits: whatif_after.hits - whatif_before.hits,
-            whatif_misses: whatif_after.misses - whatif_before.misses,
-            shift_intensity,
-            bandit_refreshes: bandit_after.0 - bandit_before.0,
-            bandit_decays: bandit_after.1 - bandit_before.1,
-        };
-        self.records.push(record);
-        self.next_round += 1;
-
+        let process = ArrivalProcess::RoundBatch;
+        let window = self.window(process, self.next_round);
+        let (record, _) = self.step_window(
+            process,
+            &window,
+            &WindowMode::default(),
+            &mut BudgetTimer::disabled(),
+        )?;
         let event = RoundEvent {
             round: record.round,
             rounds_total: self.rounds_total(),
             record,
-            queries: queries.len(),
+            queries: window.arrivals.len(),
             index_count: self.catalog.all_indexes().count(),
             index_bytes: self.catalog.live_index_bytes(),
             stats_staleness: self.stats.max_staleness(),
@@ -392,18 +294,22 @@ impl<A: Advisor> TuningSession<A> {
         Ok(Some(record))
     }
 
-    /// Run one streaming observation window: recommend under the caller's
-    /// degrade `mode`, execute one bound instance per distinct arriving
-    /// template, scale by arrival count, and observe. Data drift and
-    /// workload shifts apply only on `round_boundary` windows — exactly
-    /// where the fixed-round model applies them — so a
-    /// [`ArrivalProcess::RoundBatch`] process (every window one whole
-    /// round, unit counts) reproduces [`step`](Self::step)'s trajectory
-    /// bit for bit. Returns the window's record (its `round` field holds
+    /// Materialise window `w` of `process` over the session's own
+    /// template order — the one source both round drivers read.
+    pub(crate) fn window(&self, process: ArrivalProcess, w: usize) -> ArrivalWindow {
+        ArrivalSchedule::new(self.sequencer(), process, self.seed).window(w)
+    }
+
+    /// Run one observation window — the one round body of Algorithm 2:
+    /// recommend under the caller's degrade `mode`, execute one bound
+    /// instance per arrival entry, scale by arrival count, and observe.
+    /// Data drift and workload shifts apply only on `round_boundary`
+    /// windows. A [`ArrivalProcess::RoundBatch`] window (one whole round,
+    /// unit counts) is a fixed round, which is how [`step`](Self::step)
+    /// drives it. Returns the window's record (its `round` field holds
     /// the 1-based *window* index) plus the advisory wall-clock span of
-    /// the recommend step when `timer` is enabled. Drive through
-    /// [`StreamingSession`](crate::StreamingSession) rather than directly.
-    pub fn step_window(
+    /// the recommend step when `timer` is enabled.
+    pub(crate) fn step_window(
         &mut self,
         process: ArrivalProcess,
         window: &ArrivalWindow,
@@ -411,22 +317,18 @@ impl<A: Advisor> TuningSession<A> {
         timer: &mut BudgetTimer,
     ) -> DbResult<(RoundRecord, Option<f64>)> {
         let round = window.round;
-        let sequencer = WorkloadSequencer::with_order(
-            &self.benchmark,
-            self.workload,
-            self.seed,
-            &self.template_order,
-        );
-        let schedule = ArrivalSchedule::new(sequencer, process, self.seed);
-        let queries = schedule.window_queries(&self.catalog, window)?;
+        let queries = ArrivalSchedule::new(self.sequencer(), process, self.seed)
+            .window_queries(&self.catalog, window)?;
         let counts: Vec<u64> = window.arrivals.iter().map(|&(_, c)| c).collect();
 
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_enter("session.window");
 
-        // 1. Recommendation, under the window's degrade mode. The timer is
-        //    advisory wall-clock telemetry: reported, never branched on —
-        //    the degrade ladder itself runs on simulated cost.
+        // 1. Recommendation, under the window's degrade mode: the advisor
+        //    adjusts the physical design, costing hypotheticals through the
+        //    session's shared service. The timer is advisory wall-clock
+        //    telemetry: reported, never branched on — the degrade ladder
+        //    itself runs on simulated cost.
         self.obs.span_enter("round.advise");
         let whatif_before = self.whatif.stats();
         let bandit_before = self.advisor.bandit_counters();
@@ -440,11 +342,16 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.advise");
 
-        // 2. Execution: plan and run each distinct template's instance
-        //    once, then scale the observed statistics by its arrival count.
+        // 2. Execution: plan against the current design — through the plan
+        //    cache, so templates whose tables saw no index/stats/drift
+        //    change since their last plan skip the planner — run each
+        //    arrival entry's instance once, then scale the observed
+        //    statistics by its arrival count.
         self.obs.span_enter("round.execute");
         let cache_before = self.plan_cache.stats();
         let executions: Vec<QueryExecution> = {
+            // Field-precise borrows: the cache is mutated while the
+            // planner context holds the catalog and statistics.
             let catalog = &self.catalog;
             let stats = &self.stats;
             let backend = &mut self.backend;
@@ -469,7 +376,13 @@ impl<A: Advisor> TuningSession<A> {
         let shift_intensity = self.note_shift_intensity(&queries);
 
         // 3. Data change, at round boundaries only (mid-round windows are
-        //    pure observation).
+        //    pure observation): apply the round's drift deltas, charge every
+        //    materialised index its maintenance bill, and let statistics go
+        //    stale (auto-refreshing past the threshold). The observation
+        //    step must price against the state the queries actually ran
+        //    on, so drifting rounds snapshot the catalog and statistics
+        //    first — overlay clones over the shared `Arc`'d base, a few
+        //    cheap `Vec`s, never the data.
         let boundary = window.round_boundary;
         self.obs.span_enter("round.drift");
         let pre_drift =
@@ -483,8 +396,10 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.drift");
 
-        // 4. Observation. Guarded sessions get the window's arrival counts
-        //    first, so the ledger closes against weighted shadow prices.
+        // 4. Observation: feed actual run-time statistics back, with
+        //    execution-time catalog/stats access. Guarded sessions get the
+        //    window's arrival counts first, so the ledger closes against
+        //    weighted shadow prices.
         if let Some(ledger) = &self.safety {
             ledger.note_window_weights(counts.iter().map(|&c| c as f64).collect());
         }

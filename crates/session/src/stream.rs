@@ -20,7 +20,7 @@
 use dba_common::{BudgetTimer, DbResult, SimSeconds};
 use dba_core::{Advisor, DegradeLevel, WindowMode};
 use dba_safety::SafetyReport;
-use dba_workloads::{ArrivalProcess, ArrivalSchedule, ArrivalWindow, Benchmark, WorkloadSequencer};
+use dba_workloads::{ArrivalProcess, ArrivalWindow};
 
 use crate::record::{RoundRecord, RunResult};
 use crate::session::TuningSession;
@@ -233,11 +233,6 @@ fn percentile(mut samples: Vec<f64>, p: f64) -> Option<f64> {
 /// Deadline-aware streaming driver around a [`TuningSession`].
 pub struct StreamingSession<A: Advisor> {
     session: TuningSession<A>,
-    /// Own copy of the benchmark, so window materialisation can borrow it
-    /// while the session is driven mutably. `WorkloadSequencer::new` over
-    /// the same benchmark/kind/seed reproduces the session's template
-    /// order exactly (the order is a pure function of those three).
-    benchmark: Benchmark,
     config: StreamConfig,
     controller: DegradeController,
     timer: BudgetTimer,
@@ -254,11 +249,9 @@ pub type DynStreamingSession = StreamingSession<Box<dyn Advisor>>;
 
 impl<A: Advisor> StreamingSession<A> {
     pub fn new(session: TuningSession<A>, config: StreamConfig) -> Self {
-        let benchmark = session.benchmark().clone();
         let controller = DegradeController::new(config.budget_s);
         StreamingSession {
             session,
-            benchmark,
             config,
             controller,
             timer: BudgetTimer::disabled(),
@@ -305,14 +298,7 @@ impl<A: Advisor> StreamingSession<A> {
             return Ok(None);
         }
         let w = self.next_window;
-        let window = {
-            let seq = WorkloadSequencer::new(
-                &self.benchmark,
-                self.session.workload(),
-                self.session.seed(),
-            );
-            ArrivalSchedule::new(seq, self.config.arrival, self.session.seed()).window(w)
-        };
+        let window = self.session.window(self.config.arrival, w);
         let cur_shares = arrival_shares(&window);
 
         // Window 0 always runs Full (it carries the tuner's setup charge
@@ -326,7 +312,7 @@ impl<A: Advisor> StreamingSession<A> {
         let changed_templates = if level == DegradeLevel::Amortized {
             changed_shares(&self.prev_shares, &cur_shares, self.config.share_epsilon)
                 .into_iter()
-                .map(|ti| self.benchmark.templates()[ti].id)
+                .map(|ti| self.session.benchmark().templates()[ti].id)
                 .collect()
         } else {
             Vec::new()
@@ -475,7 +461,7 @@ mod tests {
     use super::*;
     use crate::builder::{SessionBuilder, TunerKind};
     use dba_safety::SafetyConfig;
-    use dba_workloads::{ssb::ssb, WorkloadKind};
+    use dba_workloads::{ssb::ssb, DataDrift, DriftRates, WorkloadKind};
 
     fn builder(tuner: TunerKind) -> SessionBuilder {
         SessionBuilder::new()
@@ -515,39 +501,42 @@ mod tests {
         }
     }
 
-    /// Guarded equivalence: unit window weights must leave the safety
-    /// trajectory and every time field identical to the round-batch run.
-    /// What-if cache counters are excluded — the weighted shadow pass
-    /// legitimately hits the memo where the unweighted pass recomputes.
+    /// Guarded equivalence: an unbounded `RoundBatch` stream and the
+    /// fixed-round driver give bitwise-identical records (what-if and plan
+    /// cache counters included) and safety reports — also under drift,
+    /// where drift and stats refresh land at window boundaries.
     #[test]
     fn unbounded_guarded_roundbatch_matches_times_and_safety() {
-        let guarded = |streaming: bool| {
-            let s = builder(TunerKind::Mab)
-                .safeguard(SafetyConfig::default())
-                .build()
-                .unwrap();
-            if streaming {
-                StreamingSession::new(s, StreamConfig::unbounded(ArrivalProcess::RoundBatch))
-                    .run()
-                    .unwrap()
-                    .run
-            } else {
-                let mut s = s;
-                s.run().unwrap()
-            }
-        };
-        let fixed = guarded(false);
-        let streamed = guarded(true);
-        assert_eq!(streamed.rounds.len(), fixed.rounds.len());
-        for (s, f) in streamed.rounds.iter().zip(&fixed.rounds) {
-            assert_eq!(s.recommendation, f.recommendation);
-            assert_eq!(s.creation, f.creation);
-            assert_eq!(s.execution, f.execution);
-            assert_eq!(s.maintenance, f.maintenance);
-            assert_eq!(s.shift_intensity, f.shift_intensity);
+        let drift = DataDrift::uniform(DriftRates::new(0.05, 0.02, 0.02));
+        for drift in [None, Some(drift)] {
+            let guarded = |streaming: bool| {
+                let mut b = builder(TunerKind::Mab).safeguard(SafetyConfig::default());
+                if let Some(drift) = &drift {
+                    b = b.data_drift(drift.clone());
+                }
+                let s = b.build().unwrap();
+                if streaming {
+                    StreamingSession::new(s, StreamConfig::unbounded(ArrivalProcess::RoundBatch))
+                        .run()
+                        .unwrap()
+                        .run
+                } else {
+                    let mut s = s;
+                    s.run().unwrap()
+                }
+            };
+            let fixed = guarded(false);
+            let streamed = guarded(true);
+            let label = &fixed.workload;
+            assert_eq!(streamed.rounds.len(), fixed.rounds.len(), "{label}");
+            assert_eq!(
+                format!("{:?}", streamed.rounds),
+                format!("{:?}", fixed.rounds),
+                "{label}"
+            );
+            let (sa, fa) = (streamed.safety.unwrap(), fixed.safety.unwrap());
+            assert_eq!(format!("{sa:?}"), format!("{fa:?}"), "{label}");
         }
-        let (sa, fa) = (streamed.safety.unwrap(), fixed.safety.unwrap());
-        assert_eq!(format!("{sa:?}"), format!("{fa:?}"));
     }
 
     /// A starved budget engages the degrade ladder in contract order:

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use dba_engine::{
         simulated, BackendKind, CostModel, ExecutionBackend, Executor, Query, QueryExecution,
     };
-    pub use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIf, WhatIfService};
+    pub use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIfService};
     pub use dba_safety::{SafeguardedAdvisor, SafetyConfig, SafetyReport};
     pub use dba_session::{
         RoundEvent, RoundRecord, RunResult, SessionBuilder, TunerKind, TuningSession,
