@@ -52,7 +52,8 @@ const RESULT_AFFECTING: &[&str] = &[
 ];
 
 /// Crates allowed to read wall-clock time and OS entropy (D02 exempt):
-/// the bench harness times real work by design.
+/// the bench harness and the wall-clock benchmark time real work by
+/// design.
 ///
 /// `dba-backend` is deliberately NOT here, even though its measured
 /// backend times physical operators: all of its timing flows through the
@@ -62,7 +63,7 @@ const RESULT_AFFECTING: &[&str] = &[
 /// `Instant::now` in backend business logic — a raw read that would
 /// bypass clock injection and break scripted-clock determinism — still
 /// fires (fixture: `d02_backend.rs`).
-const WALL_CLOCK_OK: &[&str] = &["dba-bench"];
+const WALL_CLOCK_OK: &[&str] = &["dba-bench", "dba-perfbench"];
 
 const CATALOG_MUTATIONS: &[&[&str]] = &[&["self", ".", "indexes"], &["self", ".", "drift"]];
 const STATS_MUTATIONS: &[&[&str]] = &[&["self", ".", "rows"], &["self", ".", "base"]];
@@ -111,14 +112,14 @@ pub fn policy_for(rel: &Path) -> Option<FilePolicy> {
         .components()
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect();
-    let crate_name = if comps.first().map(String::as_str) == Some("crates") && comps.len() > 1 {
-        format!("dba-{}", comps[1])
-    } else {
+    // `crates/core` is the package `dba-core`, etc.; `perfbench/` is the
+    // package `dba-perfbench`; everything else is the root package.
+    let crate_name = match comps.first().map(String::as_str) {
+        Some("crates") if comps.len() > 1 => format!("dba-{}", comps[1]),
+        Some("perfbench") => "dba-perfbench".to_string(),
         // Root package files: src/, tests/, examples/.
-        "dba-bandits".to_string()
+        _ => "dba-bandits".to_string(),
     };
-    // `crates/core` is the package `dba-core`, etc.; the one mismatch is
-    // the root package itself.
     let is_test = comps.iter().any(|c| c == "tests" || c == "benches");
 
     let file_name = rel.file_name().map(|f| f.to_string_lossy().into_owned());
@@ -169,6 +170,17 @@ mod tests {
             !p.d02 && p.d03,
             "bench may read wall-clock but not NaN-sort"
         );
+    }
+
+    #[test]
+    fn perfbench_is_its_own_wall_clock_package() {
+        let p = policy_for(Path::new("perfbench/src/probe.rs")).unwrap();
+        assert_eq!(p.crate_name, "dba-perfbench");
+        assert!(!p.d02, "the benchmark times real work by design");
+        assert!(p.c01 && p.d03 && !p.d01 && !p.is_test);
+        let p = policy_for(Path::new("src/lib.rs")).unwrap();
+        assert_eq!(p.crate_name, "dba-bandits");
+        assert!(p.d02, "the root package stays under D02");
     }
 
     #[test]

@@ -51,7 +51,9 @@ fn range_query(lo: i64, hi: i64) -> Query {
 /// Vectorized batch heap scan through the measured backend, ~1% selective
 /// over 200k rows. `cold` round-robins over independently generated (but
 /// identical) table allocations so each iteration touches memory the CPU
-/// caches have not just seen; `warm` rescans one allocation.
+/// caches have not just seen; `warm` rescans one allocation. `half` is
+/// ~50% selective, where a branch on each row's outcome would mispredict
+/// about every other row.
 fn bench_batch_scan(c: &mut Criterion) {
     let catalogs: Vec<Catalog> = (0..8).map(|_| bench_catalog()).collect();
     let stats = StatsCatalog::build(&catalogs[0]);
@@ -73,6 +75,11 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
     c.bench_function("batch_scan_warm_200k", |b| {
         b.iter(|| backend.execute(&catalogs[0], &q, &scan_plan))
+    });
+    // The table has no index, so the same heap-scan plan serves.
+    let half = range_query(0, 49_999);
+    c.bench_function("batch_scan_half_warm_200k", |b| {
+        b.iter(|| backend.execute(&catalogs[0], &half, &scan_plan))
     });
 }
 
@@ -172,31 +179,38 @@ fn hash_join_plan(outer: TableId, inner: TableId, join: JoinPred) -> Plan {
     }
 }
 
-/// Measured hash join of a 1%-selective dim scan (~20 rows) with a full
-/// 200k-row fact scan, in both join orders: `dim_outer` has the small
-/// input outside and the fact scan as the inner access, `fact_outer` the
-/// reverse.
+/// Measured hash join of a dim scan with a full 200k-row fact scan. With
+/// a 1%-selective dim predicate (~20 rows), in both join orders:
+/// `dim_outer` has the small input outside and the fact scan as the inner
+/// access, `fact_outer` the reverse. `star_1in7` is shaped like an SSB
+/// star join: a 14%-selective dim predicate, so about one fact row in
+/// seven finds its key in the table built on the dim tuples.
 fn bench_hash_join(c: &mut Criterion) {
     let catalog = join_catalog();
     let (dim, fact) = (TableId(0), TableId(1));
     let join = JoinPred::new(ColumnId::new(dim, 0), ColumnId::new(fact, 1));
-    let q = Query {
+    let query = |dim_pred| Query {
         id: QueryId(0),
         template: TemplateId(0),
         tables: vec![dim, fact],
-        predicates: vec![Predicate::eq(ColumnId::new(dim, 1), 7)],
+        predicates: vec![dim_pred],
         joins: vec![join],
         payload: vec![ColumnId::new(fact, 2)],
         aggregated: true,
     };
+    let point = query(Predicate::eq(ColumnId::new(dim, 1), 7));
+    let star = query(Predicate::range(ColumnId::new(dim, 1), 0, 13));
     let mut backend = dba_backend::measured(CostModel::unit_scale());
-    for (name, plan) in [
-        ("hash_join_dim_outer_200k", hash_join_plan(dim, fact, join)),
-        ("hash_join_fact_outer_200k", hash_join_plan(fact, dim, join)),
+    let dim_outer = hash_join_plan(dim, fact, join);
+    let fact_outer = hash_join_plan(fact, dim, join);
+    for (name, q, plan) in [
+        ("hash_join_dim_outer_200k", &point, &dim_outer),
+        ("hash_join_fact_outer_200k", &point, &fact_outer),
+        ("hash_join_star_1in7_200k", &star, &dim_outer),
     ] {
-        let rows = backend.execute(&catalog, &q, &plan).result_rows;
+        let rows = backend.execute(&catalog, q, plan).result_rows;
         assert!(rows > 0, "{name} must join some rows");
-        c.bench_function(name, |b| b.iter(|| backend.execute(&catalog, &q, &plan)));
+        c.bench_function(name, |b| b.iter(|| backend.execute(&catalog, q, plan)));
     }
 }
 

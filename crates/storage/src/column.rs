@@ -121,23 +121,36 @@ impl Column {
     /// Append the row ids in `[start, end)` whose code lies in `[lo, hi]`
     /// (inclusive) to `out`. The batch-scan seed: one tight pass over a
     /// contiguous slice producing an ascending selection vector.
+    ///
+    /// Branch-free on each row's outcome: every row id is written into the
+    /// next free slot and the cursor advances by the predicate's truth
+    /// value, so a selectivity near one half costs no mispredictions.
     #[inline]
     pub fn fill_matching_in(&self, lo: i64, hi: i64, start: usize, end: usize, out: &mut Vec<u32>) {
+        let base = out.len();
+        out.resize(base + (end - start), 0);
+        let slots = &mut out[base..];
+        let mut n = 0;
         for (off, &v) in self.data[start..end].iter().enumerate() {
-            if v >= lo && v <= hi {
-                out.push((start + off) as u32);
-            }
+            slots[n] = (start + off) as u32;
+            n += ((lo <= v) & (v <= hi)) as usize;
         }
+        out.truncate(base + n);
     }
 
     /// Retain only the selected rows whose code lies in `[lo, hi]`
-    /// (inclusive). Refines a selection vector in place, preserving order.
+    /// (inclusive). Refines a selection vector in place, preserving order,
+    /// with the same branch-free cursor as [`Column::fill_matching_in`].
     #[inline]
     pub fn retain_matching(&self, lo: i64, hi: i64, sel: &mut Vec<u32>) {
-        sel.retain(|&r| {
+        let mut n = 0;
+        for i in 0..sel.len() {
+            let r = sel[i];
             let v = self.data[r as usize];
-            v >= lo && v <= hi
-        });
+            sel[n] = r;
+            n += ((lo <= v) & (v <= hi)) as usize;
+        }
+        sel.truncate(n);
     }
 
     /// Gather the codes of `rows` into `out` (cleared first). The heap-fetch
@@ -156,6 +169,8 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn col(values: &[i64]) -> Column {
         Column::new("c", ColumnType::Int, values.to_vec())
@@ -202,6 +217,97 @@ mod tests {
         c.retain_matching(5, 9, &mut sel);
         assert_eq!(sel, vec![0, 2, 3, 5]);
         c.retain_matching(100, 200, &mut sel);
+        assert!(sel.is_empty());
+    }
+
+    /// The scalar definition of a range predicate, as
+    /// `dba_engine::Predicate::matches` states it.
+    fn scalar(lo: i64, hi: i64, v: i64) -> bool {
+        v >= lo && v <= hi
+    }
+
+    /// Codes and bounds drawn from the extremes, a few small values around
+    /// zero and the odd arbitrary code, so `lo > hi`, `lo == hi` and bounds
+    /// at `i64::MIN`/`i64::MAX` all come up often.
+    fn code(rng: &mut StdRng) -> i64 {
+        const EDGES: [i64; 9] = [
+            i64::MIN,
+            i64::MIN + 1,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        match rng.gen_range(0..4u32) {
+            0 => rng.gen::<i64>(),
+            _ => EDGES[rng.gen_range(0..EDGES.len())],
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_scalar_definition() {
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Lengths straddle the executor's 4096-row windows.
+            let len = rng.gen_range(0..9000usize);
+            let c = col(&(0..len).map(|_| code(&mut rng)).collect::<Vec<_>>());
+            let (lo, hi) = (code(&mut rng), code(&mut rng));
+            let want = |range: std::ops::Range<usize>| -> Vec<u32> {
+                range
+                    .filter(|&r| scalar(lo, hi, c.value(r)))
+                    .map(|r| r as u32)
+                    .collect()
+            };
+
+            // An unaligned window, appended after a non-empty prefix.
+            let start = rng.gen_range(0..=len);
+            let end = rng.gen_range(start..=len);
+            let prefix: Vec<u32> = (0..rng.gen_range(0..5u32)).map(|i| 7 * i + 3).collect();
+            let mut out = prefix.clone();
+            c.fill_matching_in(lo, hi, start, end, &mut out);
+            assert_eq!(out[..prefix.len()], prefix[..], "seed {seed}: prefix kept");
+            assert_eq!(out[prefix.len()..], want(start..end)[..], "seed {seed}");
+
+            // Refine an arbitrary ordered selection, the empty one included.
+            let sel: Vec<u32> = (0..len as u32).filter(|_| rng.gen::<bool>()).collect();
+            let mut kept = sel.clone();
+            c.retain_matching(lo, hi, &mut kept);
+            let want_kept: Vec<u32> = sel
+                .iter()
+                .copied()
+                .filter(|&r| scalar(lo, hi, c.value(r as usize)))
+                .collect();
+            assert_eq!(kept, want_kept, "seed {seed}");
+            let mut empty = Vec::new();
+            c.retain_matching(lo, hi, &mut empty);
+            assert!(empty.is_empty());
+        }
+    }
+
+    #[test]
+    fn kernels_honour_extreme_and_degenerate_bounds() {
+        let c = col(&[i64::MIN, -1, 0, 1, i64::MAX, i64::MIN, i64::MAX]);
+        let fill = |lo, hi| {
+            let mut out = Vec::new();
+            c.fill_matching_in(lo, hi, 0, c.len(), &mut out);
+            out
+        };
+        assert_eq!(fill(i64::MIN, i64::MAX), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(fill(i64::MIN, i64::MIN), vec![0, 5]);
+        assert_eq!(fill(i64::MAX, i64::MAX), vec![4, 6]);
+        assert_eq!(fill(0, 0), vec![2]);
+        assert!(fill(1, 0).is_empty(), "lo > hi selects nothing");
+        assert!(fill(i64::MAX, i64::MIN).is_empty());
+        let mut none = vec![9];
+        c.fill_matching_in(i64::MIN, i64::MAX, 3, 3, &mut none);
+        assert_eq!(none, vec![9], "an empty window appends nothing");
+        let mut sel = vec![6, 4, 2, 0];
+        c.retain_matching(i64::MAX, i64::MAX, &mut sel);
+        assert_eq!(sel, vec![6, 4], "order is kept, even when not ascending");
+        c.retain_matching(1, -1, &mut sel);
         assert!(sel.is_empty());
     }
 
